@@ -61,6 +61,7 @@ from .linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
+    apply,
     as_rational,
     braiding,
     compose,
@@ -68,7 +69,6 @@ from .linalg import (
     interleaver,
     inverse,
     kron,
-    tensor_power,
 )
 from .report import AxiomReport, CheckResult, Witness, compare
 from .tqft import (

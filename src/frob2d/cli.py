@@ -35,9 +35,27 @@ CHECK_FAILED = 1
 BAD_INPUT = 2
 
 
-def _print_report(report: AxiomReport) -> None:
-    for line in report.lines():
-        print(line)
+def _print(lines) -> None:
+    """Format and print lines with no int-to-str digit limit.
+
+    Inputs were parsed under the limit, so an over-long literal is still refused.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0: no limit
+    try:
+        for line in lines:
+            print(line)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _refused(report: AxiomReport, subject: str) -> bool:
+    """True, after naming the failing checks on stderr, when the report failed."""
+    if report.passed:
+        return False
+    failing = ", ".join(report.failing())
+    print(f"error: {subject} fails axiom checks: {failing}", file=sys.stderr)
+    return True
 
 
 def _full_report(algebra) -> AxiomReport:
@@ -59,7 +77,7 @@ def _cmd_check(args) -> int:
     if args.extended:
         algebra = _require_extended(algebra, args.algebra)
     report = _full_report(algebra)
-    _print_report(report)
+    _print(c.line() for c in report)
     return OK if report.passed else CHECK_FAILED
 
 
@@ -75,13 +93,10 @@ def _cmd_invariant(args) -> int:
         word = closed_unoriented_surface(args.crosscaps, args.genus)
     else:
         word = closed_oriented_surface(args.genus)
-    report = _full_report(algebra)
-    if not report.passed:
-        failing = ", ".join(report.failing())
-        print(f"error: algebra fails axiom checks: {failing}", file=sys.stderr)
+    if _refused(_full_report(algebra), "algebra"):
         return CHECK_FAILED
     value = evaluate(word, algebra)
-    print(value[0, 0])
+    _print([value[0, 0]])
     return OK
 
 
@@ -90,33 +105,21 @@ def _cmd_eval(args) -> int:
     word = load_word(args.word)
     matrix = evaluate(word, algebra)
     print(f"{matrix.rows}x{matrix.cols}")
-    for i in range(matrix.rows):
-        print(" ".join(str(x) for x in matrix.row(i)))
+    _print(" ".join(map(str, matrix.row(i))) for i in range(matrix.rows))
     return OK
 
 
 def _cmd_tensor(args) -> int:
-    left = load_algebra(args.left)
-    right = load_algebra(args.right)
+    paths = (args.left, args.right)
+    algebras = [load_algebra(path) for path in paths]
     if args.extended:
-        left = _require_extended(left, args.left)
-        right = _require_extended(right, args.right)
-        for algebra, path in ((left, args.left), (right, args.right)):
-            report = _full_report(algebra)
-            if not report.passed:
-                failing = ", ".join(report.failing())
-                print(f"error: {path}: fails axiom checks: {failing}", file=sys.stderr)
-                return CHECK_FAILED
-        product = tensor_extended(left, right)
+        algebras = [_require_extended(a, path) for a, path in zip(algebras, paths)]
     else:
-        left, right = as_plain(left), as_plain(right)
-        for algebra, path in ((left, args.left), (right, args.right)):
-            report = check_frobenius(algebra)
-            if not report.passed:
-                failing = ", ".join(report.failing())
-                print(f"error: {path}: fails axiom checks: {failing}", file=sys.stderr)
-                return CHECK_FAILED
-        product = tensor(left, right)
+        algebras = [as_plain(a) for a in algebras]
+    for algebra, path in zip(algebras, paths):
+        if _refused(_full_report(algebra), f"{path}:"):
+            return CHECK_FAILED
+    product = (tensor_extended if args.extended else tensor)(*algebras)
     save_algebra(product, args.output)
     return OK
 
@@ -130,7 +133,7 @@ def _cmd_naturality(args) -> int:
         report = check_naturality(morphism, word)
     else:
         report = naturality_dictionary(morphism)
-    _print_report(report)
+    _print(c.line() for c in report)
     return OK if report.passed else CHECK_FAILED
 
 
@@ -139,10 +142,7 @@ def _cmd_search_theta(args) -> int:
     base = as_plain(algebra)
     if args.bound < 1:
         raise DocumentError("bound must be at least 1")
-    base_report = check_frobenius(base)
-    if not base_report.passed:
-        failing = ", ".join(base_report.failing())
-        print(f"error: algebra fails axiom checks: {failing}", file=sys.stderr)
+    if _refused(check_frobenius(base), "algebra"):
         return CHECK_FAILED
     if args.phi is not None:
         phi_doc = load_morphism(args.phi, base, base)

@@ -224,5 +224,9 @@ def parse_word(text: str) -> CobordismWord:
 
 
 def load_word(path) -> CobordismWord:
-    """Read and parse a word text file."""
-    return parse_word(Path(path).read_text())
+    """Read and parse a UTF-8 word text file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WordError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_word(text)

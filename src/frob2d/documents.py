@@ -134,14 +134,19 @@ def parse_algebra(data) -> AnyAlgebra:
     )
 
 
+def _read_json(path):
+    """Decode a UTF-8 JSON file; any malformed content raises DocumentError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError covers bad UTF-8, bad JSON and integer literals past the
+    # int-conversion digit limit; RecursionError, nesting too deep to decode.
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_algebra(path) -> AnyAlgebra:
     """Read an algebra document from a JSON file."""
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_algebra(data)
+    return parse_algebra(_read_json(path))
 
 
 def _encode(x):
@@ -186,18 +191,14 @@ def parse_morphism(data, source: AnyAlgebra, target: AnyAlgebra) -> FrobeniusMor
     """Build a morphism from a decoded JSON object against loaded algebras."""
     if not isinstance(data, dict):
         raise DocumentError("morphism document must be a JSON object")
-    source_name = _field(data, "source")
-    target_name = _field(data, "target")
-    if source_name != as_plain(source).name:
-        raise DocumentError(
-            f"field 'source': document names {source_name!r} "
-            f"but the loaded source algebra is {as_plain(source).name!r}"
-        )
-    if target_name != as_plain(target).name:
-        raise DocumentError(
-            f"field 'target': document names {target_name!r} "
-            f"but the loaded target algebra is {as_plain(target).name!r}"
-        )
+    ends = {"source": source, "target": target}
+    names = {end: _field(data, end) for end in ends}  # both present before either is matched
+    for end, algebra in ends.items():
+        if names[end] != as_plain(algebra).name:
+            raise DocumentError(
+                f"field '{end}': document names {names[end]!r} "
+                f"but the loaded {end} algebra is {as_plain(algebra).name!r}"
+            )
     rows, cols = as_plain(target).dim, as_plain(source).dim
     table = _table(_field(data, "map"), "map", rows, cols)
     return FrobeniusMorphism(
@@ -207,9 +208,4 @@ def parse_morphism(data, source: AnyAlgebra, target: AnyAlgebra) -> FrobeniusMor
 
 def load_morphism(path, source: AnyAlgebra, target: AnyAlgebra) -> FrobeniusMorphism:
     """Read a morphism document from a JSON file."""
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_morphism(data, source, target)
+    return parse_morphism(_read_json(path), source, target)

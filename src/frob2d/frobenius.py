@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
+    apply,
     as_rational,
     braiding,
     compose,
@@ -180,7 +181,7 @@ def derive_comult(mult: Matrix, unit: Matrix, counit: Matrix) -> Matrix:
             "degenerate Frobenius form: the pairing counit(e_i * e_j) is singular"
         ) from exc
     copairing = Matrix(n * n, 1, gram_inv.entries)
-    return compose(kron(identity(n), mult), kron(copairing, identity(n)))
+    return apply(mult, kron(copairing, identity(n)), n, 1)
 
 
 def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
@@ -195,11 +196,11 @@ def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
         compare("associativity", compose(m, kron(m, i_n)), compose(m, kron(i_n, m))),
         compare("unit_left", compose(m, kron(u, i_n)), i_n),
         compare("unit_right", compose(m, kron(i_n, u)), i_n),
-        compare("coassociativity", compose(kron(d, i_n), d), compose(kron(i_n, d), d)),
-        compare("counit_left", compose(kron(e, i_n), d), i_n),
-        compare("counit_right", compose(kron(i_n, e), d), i_n),
-        compare("frobenius_left", compose(kron(i_n, m), kron(d, i_n)), dm),
-        compare("frobenius_right", compose(kron(m, i_n), kron(i_n, d)), dm),
+        compare("coassociativity", apply(d, d, 1, n), apply(d, d, n, 1)),
+        compare("counit_left", apply(e, d, 1, n), i_n),
+        compare("counit_right", apply(e, d, n, 1), i_n),
+        compare("frobenius_left", apply(m, kron(d, i_n), n, 1), dm),
+        compare("frobenius_right", apply(m, kron(i_n, d), 1, n), dm),
         compare("commutativity", compose(m, c), m),
         compare("cocommutativity", compose(c, d), d),
     )
@@ -271,19 +272,17 @@ def tensor(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
 
     Multiplication routes the middle factors through the braiding so the
     product of ``x1 (x) y1`` and ``x2 (x) y2`` is ``x1 x2 (x) y1 y2``; the
-    comultiplication uses the inverse shuffle.
+    comultiplication braids the two middle factors back.
     """
     na, nb = a.dim, b.dim
-    ia, ib = identity(na), identity(nb)
-    shuffle_in = kron(ia, kron(braiding(nb, na), ib))  # A.B.A.B -> A.A.B.B
-    shuffle_out = kron(ia, kron(braiding(na, nb), ib))  # A.A.B.B -> A.B.A.B
+    shuffle_in = kron(identity(na), kron(braiding(nb, na), identity(nb)))  # A.B.A.B -> A.A.B.B
     return FrobeniusAlgebra(
         name=f"{a.name}*{b.name}",
         basis=tuple(f"({x},{y})" for x in a.basis for y in b.basis),
         mult=compose(kron(a.mult, b.mult), shuffle_in),
         unit=kron(a.unit, b.unit),
         counit=kron(a.counit, b.counit),
-        comult=compose(shuffle_out, kron(a.comult, b.comult)),
+        comult=apply(braiding(na, nb), kron(a.comult, b.comult), na, nb),
     )
 
 

@@ -12,6 +12,9 @@ package:
 
   so the basis vector ``e_i (x) e_j`` of a tensor-product space sits at
   flat index ``i * dim_right + j``.
+* ``apply(f, state, left, right)`` is ``kron(identity(left), f,
+  identity(right)) . state``: ``f`` acts on chosen strands of a state
+  whose other strands pass through, and no padded layer is built.
 * ``braiding(a, b)`` swaps tensor factors and ``interleaver(n, a, b)``
   regroups ``A^(x)n (x) B^(x)n`` as ``(A (x) B)^(x)n``; both are
   permutation matrices.
@@ -78,26 +81,6 @@ class Matrix:
         m.entries = entries
         return m
 
-    @classmethod
-    def from_rows(cls, rows_of_entries) -> "Matrix":
-        rows_of_entries = [list(r) for r in rows_of_entries]
-        rows = len(rows_of_entries)
-        cols = len(rows_of_entries[0]) if rows else 0
-        for r in rows_of_entries:
-            if len(r) != cols:
-                raise ShapeError("rows have unequal lengths")
-        return cls(rows, cols, [x for r in rows_of_entries for x in r])
-
-    @classmethod
-    def column(cls, values) -> "Matrix":
-        values = list(values)
-        return cls(len(values), 1, values)
-
-    @classmethod
-    def row_vector(cls, values) -> "Matrix":
-        values = list(values)
-        return cls(1, len(values), values)
-
     def __getitem__(self, index: tuple) -> Rational:
         i, j = index
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -120,9 +103,6 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return compose(self, other)
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 36:
@@ -202,14 +182,27 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     return Matrix._raw(rows, cols, tuple(out))
 
 
-def tensor_power(m: Matrix, count: int) -> Matrix:
-    """``count``-fold Kronecker power; the 0th power is the 1x1 identity."""
-    if count < 0:
-        raise ValueError(f"tensor power needs count >= 0, got {count}")
-    out = identity(1)
-    for _ in range(count):
-        out = kron(out, m)
-    return out
+def apply(f: Matrix, state: Matrix, left: int, right: int) -> Matrix:
+    """``kron(identity(left), f, identity(right)) . state`` without building that layer.
+
+    The rows of ``state`` are grouped (left, f.cols, right), left major, and
+    ``f`` acts on the middle group only: nnz(f) * state cells / f.cols steps.
+    """
+    if left * f.cols * right != state.rows:
+        raise ShapeError(f"cannot apply {left}|{f.cols}|{right} to {state.rows} rows")
+    block = right * state.cols  # cells of one middle index within a left group
+    nonzeros = [(k // f.cols * block, k % f.cols * block, a) for k, a in enumerate(f.entries) if a]
+    src = state.entries
+    out = [0] * (left * f.rows * block)
+    for group in range(left):
+        ibase = group * f.cols * block
+        obase = group * f.rows * block
+        for o, s, a in nonzeros:
+            o += obase
+            s += ibase
+            pairs = zip(out[o : o + block], src[s : s + block])
+            out[o : o + block] = [x + a * y if y else x for x, y in pairs]
+    return Matrix._raw(left * f.rows * right, state.cols, tuple(out))
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 """Evaluation of cobordism words against (extended) Frobenius algebras.
 
 A word on an algebra of dimension n becomes a matrix between tensor
-powers of the underlying space: each slice is the left-major Kronecker
-product of its generator matrices, and consecutive slices compose with
-later slices multiplying on the left.  Closed words evaluate to 1x1
-matrices whose single entry is the surface invariant.
+powers of the underlying space.  Evaluation starts from the identity on
+the n**source basis columns and applies each non-id generator to its own
+strands only (``linalg.apply``), so no identity-padded layer is built.
+Closed words evaluate to 1x1 matrices whose single entry is the surface
+invariant.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from .frobenius import (
 from .linalg import (
     Matrix,
     Rational,
+    apply,
     braiding,
     compose,
     identity,
     interleaver,
     kron,
-    tensor_power,
 )
 from .report import AxiomReport, compare
 
@@ -45,39 +46,45 @@ class ExtendedRequiredError(ValueError):
     """phi or theta was evaluated against a plain Frobenius algebra."""
 
 
+# phi and theta live on the extended algebra, the others on its base
+_STRUCTURE = {
+    Generator.CUP: "unit",
+    Generator.CAP: "counit",
+    Generator.MULT: "mult",
+    Generator.COMULT: "comult",
+    Generator.PHI: "involution",
+    Generator.THETA: "point",
+}
+
+
 def _generator_matrix(generator: Generator, algebra: AnyAlgebra) -> Matrix:
     base = as_plain(algebra)
-    if generator is Generator.ID:
-        return identity(base.dim)
-    if generator is Generator.CUP:
-        return base.unit
-    if generator is Generator.CAP:
-        return base.counit
-    if generator is Generator.MULT:
-        return base.mult
-    if generator is Generator.COMULT:
-        return base.comult
     if generator is Generator.SWAP:
         return braiding(base.dim, base.dim)
+    if generator not in UNORIENTED_ONLY:
+        return getattr(base, _STRUCTURE[generator])
     if not isinstance(algebra, ExtendedFrobeniusAlgebra):
         raise ExtendedRequiredError(
             f"generator '{generator.label}' needs an extended Frobenius algebra, "
             f"but {base.name!r} has no extended structure"
         )
-    return algebra.involution if generator is Generator.PHI else algebra.point
+    return getattr(algebra, _STRUCTURE[generator])
 
 
 def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
     """The matrix of a word; a word with no slices is the identity on 0 circles."""
     source, _ = validate_word(word)
     n = as_plain(algebra).dim
-    total = identity(n**source)
+    state = identity(n**source)
     for slice_ in word.slices:
-        layer = identity(1)
+        # left spans the outputs placed so far, right the inputs still to come
+        left, right = 1, n ** sum(g.arity_in for g in slice_)
         for generator in slice_:
-            layer = kron(layer, _generator_matrix(generator, algebra))
-        total = compose(layer, total)
-    return total
+            right //= n**generator.arity_in
+            if generator is not Generator.ID:
+                state = apply(_generator_matrix(generator, algebra), state, left, right)
+            left *= n**generator.arity_out
+    return state
 
 
 def invariant(word: CobordismWord, algebra: AnyAlgebra) -> Rational:
@@ -96,9 +103,17 @@ def check_naturality(
     """Exact naturality square of a linear map against one word."""
     source, target = validate_word(word)
     f = morphism.matrix
-    lhs = compose(tensor_power(f, target), evaluate(word, morphism.source))
-    rhs = compose(evaluate(word, morphism.target), tensor_power(f, source))
+    lhs = _on_every_strand(f, evaluate(word, morphism.source), target)
+    f_source = _on_every_strand(f, identity(f.cols**source), source)
+    rhs = compose(evaluate(word, morphism.target), f_source)
     return AxiomReport((compare(check_name, lhs, rhs),))
+
+
+def _on_every_strand(f: Matrix, state: Matrix, strands: int) -> Matrix:
+    """``f^(x)strands . state``, applying f one strand at a time from the left."""
+    for k in range(strands):
+        state = apply(f, state, f.rows**k, f.cols ** (strands - 1 - k))
+    return state
 
 
 def naturality_dictionary(morphism: FrobeniusMorphism) -> AxiomReport:
@@ -112,16 +127,7 @@ def naturality_dictionary(morphism: FrobeniusMorphism) -> AxiomReport:
     extended = isinstance(morphism.source, ExtendedFrobeniusAlgebra) and isinstance(
         morphism.target, ExtendedFrobeniusAlgebra
     )
-    generators = [
-        Generator.ID,
-        Generator.CUP,
-        Generator.CAP,
-        Generator.MULT,
-        Generator.COMULT,
-        Generator.SWAP,
-    ]
-    if extended:
-        generators += [Generator.PHI, Generator.THETA]
+    generators = [g for g in Generator if extended or g not in UNORIENTED_ONLY]
     checks = []
     for g in generators:
         orientation = "unoriented" if g in UNORIENTED_ONLY else "oriented"

@@ -1,6 +1,7 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -194,10 +195,11 @@ def test_tensor_matches_library(capsys, tmp_path):
 
 def test_tensor_refuses_broken_input(capsys, tmp_path):
     out_path = tmp_path / "never.json"
-    code, _, err = run(capsys, "tensor", broken_algebra(tmp_path), DATA["k.json"],
-                       "-o", str(out_path))
+    broken = broken_algebra(tmp_path)
+    code, _, err = run(capsys, "tensor", broken, DATA["k.json"], "-o", str(out_path))
     assert code == 1
-    assert "fails axiom checks" in err
+    assert err == (f"error: {broken}: fails axiom checks: coassociativity, "
+                   "counit_left, counit_right, frobenius_left, frobenius_right\n")
     assert not out_path.exists()
 
 
@@ -267,6 +269,71 @@ def test_not_json_is_exit_2(capsys):
     code, _, err = run(capsys, "check", DATA["sphere.cob"])
     assert code == 2
     assert "not valid JSON" in err
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_utf8_algebra_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xe9"}')
+    assert_one_error_line(*run(capsys, "check", str(path)))
+
+
+def test_non_utf8_word_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.cob"
+    path.write_bytes(b"oriented\n\xffcup\n")
+    assert_one_error_line(*run(capsys, "eval", str(path), DATA["z2.json"]))
+
+
+def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert_one_error_line(*run(capsys, "check", str(path)))
+
+
+def test_over_long_integer_literal_is_exit_2(capsys, tmp_path):
+    doc = json.loads(open(DATA["z2.json"]).read())
+    text = json.dumps(doc).replace('"unit": [1, 0]', '"unit": [1' + "0" * 5000 + ", 0]")
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert_one_error_line(*run(capsys, "check", str(path)))
+
+
+def decimal(value) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_invariant_prints_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "invariant", DATA["z2.json"], "--genus", "14400")
+    assert sys.get_int_max_str_digits() == limit  # lifted for printing only
+    assert (code, out, err) == (0, decimal(2**14400) + "\n", "")
+
+
+def test_naturality_witness_prints_past_the_digit_limit(capsys, tmp_path):
+    # the handle operator of this algebra is diag(1, 1/2); swapping the
+    # idempotents does not commute with its 14300th power
+    algebra = tmp_path / "s.json"
+    algebra.write_text(json.dumps({
+        "name": "S", "dim": 2, "basis": ["e1", "e2"],
+        "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "unit": [1, 1], "counit": [1, 2],
+    }))
+    swap = tmp_path / "swap.json"
+    swap.write_text(json.dumps({"source": "S", "target": "S", "map": [[0, 1], [1, 0]]}))
+    handles = tmp_path / "handles.cob"
+    handles.write_text("oriented\n" + "comult\nmult\n" * 14300)
+    code, out, err = run(capsys, "naturality", "--word", str(handles),
+                         str(swap), str(algebra), str(algebra))
+    expected = f"naturality: fail at (0,1): 1/{decimal(2**14300)} != 1\n"
+    assert (code, out, err) == (1, expected, "")
 
 
 def test_unknown_subcommand_is_exit_2(capsys):

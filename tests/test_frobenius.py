@@ -220,18 +220,22 @@ def test_tensor_extended_closure_over_battery():
 
 
 def test_tensor_matches_oracle_tables():
-    z, d = group_algebra_z2(), dual_numbers()
-    product = tensor(d, z)
-    expect = oracles.tensor_tables(oracles.D_TABLES, oracles.Z2_TABLES)
-    n = product.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                assert product.mult[k, i * n + j] == expect["mult"][i][j][k]
-                assert product.comult[j * n + k, i] == expect["comult"][i][j][k]
-    for i in range(n):
-        assert product.unit[i, 0] == expect["unit"][i]
-        assert product.counit[0, i] == expect["counit"][i]
+    z, d, kxk = group_algebra_z2(), dual_numbers(), split_pair()
+    zk_tables = oracles.tensor_tables(oracles.Z2_TABLES, oracles.KXK_TABLES)
+    for product, expect in (
+        (tensor(d, z), oracles.tensor_tables(oracles.D_TABLES, oracles.Z2_TABLES)),
+        # unequal factor dimensions, so the two braidings differ
+        (tensor(d, tensor(z, kxk)), oracles.tensor_tables(oracles.D_TABLES, zk_tables)),
+    ):
+        n = product.dim
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    assert product.mult[k, i * n + j] == expect["mult"][i][j][k]
+                    assert product.comult[j * n + k, i] == expect["comult"][i][j][k]
+        for i in range(n):
+            assert product.unit[i, 0] == expect["unit"][i]
+            assert product.counit[0, i] == expect["counit"][i]
 
 
 def test_tensor_extended_negative_points_cancel():

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frob2d.linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
+    apply,
     as_rational,
     braiding,
     compose,
@@ -18,7 +19,6 @@ from frob2d.linalg import (
     inverse,
     is_permutation_matrix,
     kron,
-    tensor_power,
 )
 
 scalars = st.fractions(
@@ -96,11 +96,6 @@ def test_kron_index_formula():
                     assert fg[i1 * 2 + i2, j1 * 2 + j2] == f[i1, j1] * g[i2, j2]
 
 
-def test_tensor_power_zero_is_scalar_identity():
-    assert tensor_power(Matrix(2, 2, [1, 2, 3, 4]), 0) == Matrix(1, 1, [1])
-    assert tensor_power(identity(2), 3) == identity(8)
-
-
 def test_braiding_2_2_fixes_ends_swaps_middle():
     p = braiding(2, 2)
     expect = Matrix(
@@ -172,6 +167,32 @@ def test_inverse_singular():
 def test_matrix_requires_consistent_entry_count():
     with pytest.raises(ShapeError):
         Matrix(2, 2, [1, 2, 3])
+
+
+def test_apply_rejects_mismatched_state():
+    with pytest.raises(ShapeError):
+        apply(identity(2), identity(6), 2, 2)
+
+
+@st.composite
+def apply_cases(draw):
+    left = draw(st.integers(min_value=1, max_value=3))
+    right = draw(st.integers(min_value=1, max_value=3))
+    # one column is a generator with no input strands (cup, theta)
+    f = draw(small_matrix(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    state = draw(small_matrix(left * f.cols * right, draw(st.integers(1, 3))))
+    return f, state, left, right
+
+
+@given(apply_cases())
+@example((Matrix(2, 1, [1, Fraction(-1, 2)]), identity(1), 1, 1))
+@example((Matrix(2, 1, [1, 0]), identity(4), 2, 2))
+@example((Matrix(1, 2, [0, 3]), Matrix(2, 1, [Fraction(1, 3), 5]), 1, 1))
+@settings(max_examples=60, deadline=None)
+def test_apply_equals_identity_padded_layer(case):
+    f, state, left, right = case
+    layer = kron(kron(identity(left), f), identity(right))
+    assert apply(f, state, left, right) == compose(layer, state)
 
 
 @given(small_matrix(2, 2), small_matrix(2, 2), small_matrix(2, 2))

@@ -177,6 +177,38 @@ def test_unoriented_evaluation_matches_oracle_route():
                     assert got[i, j] == expect[i][j], (labels, name, i, j)
 
 
+def assert_oracle_route(words, algebra, tables):
+    for w in words:
+        labels = [[g.label for g in s] for s in w.slices]
+        got = evaluate(w, algebra)
+        expect = oracles.word_matrix(labels, tables, w.source_arity)
+        assert [list(got.row(i)) for i in range(got.rows)] == expect, labels
+
+
+def test_random_words_match_oracle_route_n2():
+    oriented = random_words(25, seed=21, max_strands=7)
+    unoriented = random_words(25, seed=22, max_strands=7, unoriented=True)
+    for algebra in plain_battery():
+        if algebra.dim == 2:
+            assert_oracle_route(oriented, algebra, ALGEBRA_TABLES[algebra.name])
+    for algebra in (group_algebra_z2_extended(), split_pair_extended()):
+        assert_oracle_route(unoriented, algebra, EXT_TABLES[algebra.name])
+
+
+def test_random_words_match_oracle_route_z2_squared():
+    z2, z2e = oracles.Z2_TABLES, oracles.Z2_EXT_TABLES
+    assert_oracle_route(
+        random_words(8, seed=23, max_strands=5),
+        tensor(group_algebra_z2(), group_algebra_z2()),
+        oracles.tensor_tables(z2, z2),
+    )
+    assert_oracle_route(
+        random_words(8, seed=24, max_strands=5, unoriented=True),
+        tensor_extended(group_algebra_z2_extended(), group_algebra_z2_extended()),
+        oracles.tensor_tables(z2e, z2e),
+    )
+
+
 def test_swap_then_mult_equals_mult():
     for algebra in plain_battery():
         assert evaluate(word([SWAP], [MULT]), algebra) == evaluate(
@@ -233,6 +265,19 @@ def test_naturality_dictionary_matches_morphism_checks():
     assert [c.name for c in report] == ["id", "cup", "cap", "mult", "comult", "swap"]
     report = naturality_dictionary(failing)
     assert set(report.failing()) == {"mult", "comult"}
+
+
+def test_naturality_between_algebras_of_different_dimension():
+    inclusion = FrobeniusMorphism(ground_field(), group_algebra_z2(), Matrix(2, 1, [1, 0]))
+    assert naturality_dictionary(inclusion).lines() == [
+        "id: pass", "cup: pass", "cap: pass", "mult: pass",
+        "comult: fail at (3,0): 0 != 1", "swap: pass",
+    ]
+    projection = FrobeniusMorphism(split_pair(), ground_field(), Matrix(1, 2, [1, 0]))
+    assert naturality_dictionary(projection).lines() == [
+        "id: pass", "cup: pass", "cap: fail at (0,1): 1 != 0", "mult: pass",
+        "comult: pass", "swap: pass",
+    ]
 
 
 def test_naturality_dictionary_extended_names():
