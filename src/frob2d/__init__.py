@@ -58,6 +58,7 @@ from .frobenius import (
     tensor_extended,
 )
 from .linalg import (
+    BudgetError,
     Matrix,
     ShapeError,
     SingularMatrixError,
@@ -65,6 +66,7 @@ from .linalg import (
     as_rational,
     braiding,
     compose,
+    compose_layers,
     identity,
     interleaver,
     inverse,

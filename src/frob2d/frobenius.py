@@ -11,6 +11,15 @@ the rationals:
 with the basis vector ``e_i (x) e_j`` of the tensor square at flat index
 ``i * n + j``.  An extended algebra adds an involution ``n x n`` and a
 distinguished point ``n x 1``.
+
+The axiom checks work on the structure constants directly.  A side that
+composes a map with a layer padded by identities, such as
+``mult . (mult (x) id)``, comes from ``linalg.compose_layers`` over the
+nonzeros of both (or from ``linalg.apply`` when the layer acts first on a
+state), and commutativity and cocommutativity permute the columns of
+``mult`` and the rows of ``comult``; no padded layer or braiding matrix is
+built.  Tensor products are almost all zeros, so the cost follows the
+nonzeros and the size of the compared matrices, not the padded layers.
 """
 
 from __future__ import annotations
@@ -27,11 +36,15 @@ from .linalg import (
     as_rational,
     braiding,
     compose,
+    compose_layers,
     identity,
     inverse,
     kron,
 )
 from .report import AxiomReport, CheckResult, compare
+
+
+_NO_PAD = (1, 1)  # the pad of a layer with no identity strands
 
 
 class DegenerateFormError(ValueError):
@@ -190,19 +203,26 @@ def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
     n = a.dim
     i_n = identity(n)
     m, u, e, d = a.mult, a.unit, a.counit, a.comult
-    c = braiding(n, n)
     dm = compose(d, m)
+    # the braiding as a permutation of flat indices: x (x) y sits at y (x) x
+    swap = [j * n + i for i in range(n) for j in range(n)]
+    m_swapped = Matrix._raw(n, n * n, tuple(row[s] for row in map(m.row, range(n)) for s in swap))
+    d_swapped = Matrix._raw(n * n, n, tuple(x for s in swap for x in d.row(s)))
     checks = (
-        compare("associativity", compose(m, kron(m, i_n)), compose(m, kron(i_n, m))),
-        compare("unit_left", compose(m, kron(u, i_n)), i_n),
-        compare("unit_right", compose(m, kron(i_n, u)), i_n),
+        compare(
+            "associativity",
+            compose_layers(m, _NO_PAD, m, (1, n)),
+            compose_layers(m, _NO_PAD, m, (n, 1)),
+        ),
+        compare("unit_left", compose_layers(m, _NO_PAD, u, (1, n)), i_n),
+        compare("unit_right", compose_layers(m, _NO_PAD, u, (n, 1)), i_n),
         compare("coassociativity", apply(d, d, 1, n), apply(d, d, n, 1)),
         compare("counit_left", apply(e, d, 1, n), i_n),
         compare("counit_right", apply(e, d, n, 1), i_n),
-        compare("frobenius_left", apply(m, kron(d, i_n), n, 1), dm),
-        compare("frobenius_right", apply(m, kron(i_n, d), 1, n), dm),
-        compare("commutativity", compose(m, c), m),
-        compare("cocommutativity", compose(c, d), d),
+        compare("frobenius_left", compose_layers(m, (n, 1), d, (1, n)), dm),
+        compare("frobenius_right", compose_layers(m, (1, n), d, (n, 1)), dm),
+        compare("commutativity", m_swapped, m),
+        compare("cocommutativity", d_swapped, d),
     )
     return AxiomReport(checks)
 
@@ -211,12 +231,15 @@ def check_morphism(f: FrobeniusMorphism) -> AxiomReport:
     """The four structure-preservation diagrams of a Frobenius morphism."""
     a = as_plain(f.source)
     b = as_plain(f.target)
-    ff = kron(f.matrix, f.matrix)
+    g, s, t = f.matrix, a.dim, b.dim
+    # g (x) g = (g (x) id_t) . (id_s (x) g) = (id_t (x) g) . (g (x) id_s)
+    mult_gg = compose_layers(compose_layers(b.mult, _NO_PAD, g, (1, t)), _NO_PAD, g, (s, 1))
+    gg_comult = apply(g, apply(g, a.comult, 1, s), t, 1)
     checks = (
-        compare("unit", compose(f.matrix, a.unit), b.unit),
-        compare("mult", compose(f.matrix, a.mult), compose(b.mult, ff)),
-        compare("counit", compose(b.counit, f.matrix), a.counit),
-        compare("comult", compose(b.comult, f.matrix), compose(ff, a.comult)),
+        compare("unit", compose(g, a.unit), b.unit),
+        compare("mult", compose(g, a.mult), mult_gg),
+        compare("counit", compose(b.counit, g), a.counit),
+        compare("comult", compose(b.comult, g), gg_comult),
     )
     return AxiomReport(checks)
 
@@ -229,25 +252,38 @@ def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
     theta_multiplication_fixed (multiples of the point are fixed by phi);
     crosscap (theta^2 equals mult . (phi (x) id) . comult . unit); and the
     implied phi_fixes_theta, reported separately for diagnosis.
+
+    Like ``check_frobenius``, every side comes from the structure constants:
+    multiplication by theta is ``mult . (theta (x) id)`` over the nonzeros
+    of both, theta^2 is that map applied to theta, and the right-hand side
+    of crosscap applies phi to one leg of ``comult . unit``.
     """
-    base = algebra.base
-    n = base.dim
-    i_n = identity(n)
-    phi, theta = algebra.involution, algebra.point
-    m, u, d = base.mult, base.unit, base.comult
-    phi_checks = tuple(
-        CheckResult("phi_" + c.name, c.passed, c.witness)
-        for c in check_morphism(FrobeniusMorphism(base, base, phi)).checks
+    base, phi = algebra.base, algebra.involution
+    sides = _theta_sides(base, phi, algebra.point, _crosscap_rhs(base, phi))
+    fixes, fixed, crosscap = (compare(*side) for side in sides)
+    return AxiomReport((*_phi_checks(base, phi), fixed, crosscap, fixes))
+
+
+def _phi_checks(base: FrobeniusAlgebra, phi: Matrix) -> tuple[CheckResult, ...]:
+    """The involution and phi_* checks: the part of check_extended free of theta."""
+    morphism = check_morphism(FrobeniusMorphism(base, base, phi))
+    return (
+        compare("involution", compose(phi, phi), identity(base.dim)),
+        *(CheckResult("phi_" + c.name, c.passed, c.witness) for c in morphism.checks),
     )
-    times_theta = compose(m, kron(theta, i_n))
-    checks = (
-        compare("involution", compose(phi, phi), i_n),
-        *phi_checks,
-        compare("theta_multiplication_fixed", compose(phi, times_theta), times_theta),
-        compare("crosscap", compose(m, kron(theta, theta)), compose(m, kron(phi, i_n), d, u)),
-        compare("phi_fixes_theta", compose(phi, theta), theta),
-    )
-    return AxiomReport(checks)
+
+
+def _crosscap_rhs(base: FrobeniusAlgebra, phi: Matrix) -> Matrix:
+    """``mult . (phi (x) id) . comult . unit``, the side of crosscap free of theta."""
+    return compose(base.mult, apply(phi, compose(base.comult, base.unit), 1, base.dim))
+
+
+def _theta_sides(base: FrobeniusAlgebra, phi: Matrix, theta: Matrix, crosscap_rhs: Matrix):
+    """(name, lhs, rhs) of the theta checks, the two linear in theta first; lazy."""
+    yield "phi_fixes_theta", compose(phi, theta), theta
+    times_theta = compose_layers(base.mult, _NO_PAD, theta, (1, base.dim))
+    yield "theta_multiplication_fixed", compose(phi, times_theta), times_theta
+    yield "crosscap", compose(times_theta, theta), crosscap_rhs
 
 
 def check_extended_morphism(f: FrobeniusMorphism) -> AxiomReport:
@@ -300,16 +336,27 @@ def tensor_extended(
 def search_theta(algebra: FrobeniusAlgebra, involution: Matrix, bound: int) -> list[Matrix]:
     """All integer points in [-bound, bound]^dim that extend the algebra.
 
-    Candidates are tried in lexicographic order of their coordinate tuples.
-    The search is grid-relative: an empty result only rules out integer
-    points within the bound.
+    The result is the points ``p`` for which
+    ``check_extended(ExtendedFrobeniusAlgebra(algebra, involution, p))``
+    passes, in lexicographic order of their coordinate tuples.  The
+    involution's shape is checked once (ShapeError), and the involution and
+    phi_* checks, which do not involve the point, run once: if any fails
+    there are no hits.  The crosscap right-hand side is computed once; each
+    candidate is then tested against phi_fixes_theta and
+    theta_multiplication_fixed, which are linear in the point, before the
+    quadratic crosscap.  The search is grid-relative: an empty result only
+    rules out integer points within the bound.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    n = algebra.dim
+    _expect_shape("involution", involution, n, n)
+    if not all(c.passed for c in _phi_checks(algebra, involution)):
+        return []
+    rhs = _crosscap_rhs(algebra, involution)
     hits = []
-    for coords in itertools.product(range(-bound, bound + 1), repeat=algebra.dim):
-        point = Matrix(algebra.dim, 1, coords)
-        candidate = ExtendedFrobeniusAlgebra(algebra, involution, point)
-        if check_extended(candidate).passed:
+    for coords in itertools.product(range(-bound, bound + 1), repeat=n):
+        point = Matrix(n, 1, coords)
+        if all(lhs == r for _, lhs, r in _theta_sides(algebra, involution, point, rhs)):
             hits.append(point)
     return hits

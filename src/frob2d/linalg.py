@@ -15,6 +15,11 @@ package:
 * ``apply(f, state, left, right)`` is ``kron(identity(left), f,
   identity(right)) . state``: ``f`` acts on chosen strands of a state
   whose other strands pass through, and no padded layer is built.
+* ``compose_layers(f, f_pad, g, g_pad)`` multiplies two such padded
+  layers from the nonzeros of ``f`` and ``g`` alone, for sparse
+  structure matrices.
+* No function here allocates a matrix of more than ``MAX_CELLS`` cells:
+  a larger result raises ``BudgetError`` (a ``ShapeError``) first.
 * ``braiding(a, b)`` swaps tensor factors and ``interleaver(n, a, b)``
   regroups ``A^(x)n (x) B^(x)n`` as ``(A (x) B)^(x)n``; both are
   permutation matrices.
@@ -32,6 +37,25 @@ Rational = Union[int, Fraction]
 
 class ShapeError(ValueError):
     """Matrix dimensions do not fit the requested operation."""
+
+
+class BudgetError(ShapeError):
+    """A result would have more than MAX_CELLS cells."""
+
+
+# 64 MiB of cell pointers per matrix: twice the largest state the tests build
+# (4096 x 1024), well below what exhausts a small machine.
+MAX_CELLS = 2**23
+
+
+def _cells(rows: int, cols: int) -> int:
+    """The cell count of a rows x cols result, refused above MAX_CELLS."""
+    if rows * cols > MAX_CELLS:
+        raise BudgetError(
+            f"a {rows}x{cols} matrix has {rows * cols} cells, "
+            f"over the budget of {MAX_CELLS}"
+        )
+    return rows * cols
 
 
 class SingularMatrixError(ValueError):
@@ -114,12 +138,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def identity(n: int) -> Matrix:
     """The n x n identity matrix."""
     if n < 0:
         raise ShapeError(f"identity needs n >= 0, got {n}")
-    cells = [0] * (n * n)
+    cells = [0] * _cells(n, n)
     for i in range(n):
         cells[i * n + i] = 1
     return Matrix._raw(n, n, tuple(cells))
@@ -138,7 +162,7 @@ def compose(f: Matrix, g: Matrix, *rest: Matrix) -> Matrix:
         )
     gcols = g.cols
     fe, ge = f.entries, g.entries
-    out = [0] * (f.rows * gcols)
+    out = [0] * _cells(f.rows, gcols)
     for i in range(f.rows):
         fbase = i * f.cols
         obase = i * gcols
@@ -164,7 +188,7 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     """Kronecker product with the left factor major (see module docstring)."""
     rows = f.rows * g.rows
     cols = f.cols * g.cols
-    out = [0] * (rows * cols)
+    out = [0] * _cells(rows, cols)
     fe, ge = f.entries, g.entries
     for i1 in range(f.rows):
         for j1 in range(f.cols):
@@ -193,7 +217,7 @@ def apply(f: Matrix, state: Matrix, left: int, right: int) -> Matrix:
     block = right * state.cols  # cells of one middle index within a left group
     nonzeros = [(k // f.cols * block, k % f.cols * block, a) for k, a in enumerate(f.entries) if a]
     src = state.entries
-    out = [0] * (left * f.rows * block)
+    out = [0] * _cells(left * f.rows * right, state.cols)
     for group in range(left):
         ibase = group * f.cols * block
         obase = group * f.rows * block
@@ -205,7 +229,41 @@ def apply(f: Matrix, state: Matrix, left: int, right: int) -> Matrix:
     return Matrix._raw(left * f.rows * right, state.cols, tuple(out))
 
 
-@lru_cache(maxsize=None)
+def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
+    """``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` for pads ``(l, r)`` and ``(l', r')``.
+
+    Neither layer is built: every nonzero of ``g``, repeated over its pad,
+    meets the nonzeros of ``f`` in the column it feeds, so the work is
+    about nnz(g) * l' * r' * (nonzeros per column of f) plus the output.
+    """
+    (fl, fr), (gl, gr) = f_pad, g_pad
+    if fl * f.cols * fr != gl * g.rows * gr:
+        raise ShapeError(
+            f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g.rows}x{g.cols}|{gr}"
+        )
+    cols = gl * g.cols * gr
+    out = [0] * _cells(fl * f.rows * fr, cols)
+    f_column = [[] for _ in range(f.cols)]  # (row, entry) of each nonzero of f, by column
+    for k, a in enumerate(f.entries):
+        if a:
+            f_column[k % f.cols].append((k // f.cols, a))
+    for k, b in enumerate(g.entries):
+        if not b:
+            continue
+        y, x = divmod(k, g.cols)
+        for left in range(gl):
+            for right in range(gr):
+                # g's output (left, y, right) is f's input (outer, z, inner)
+                outer, rest = divmod((left * g.rows + y) * gr + right, f.cols * fr)
+                z, inner = divmod(rest, fr)
+                col = (left * g.cols + x) * gr + right
+                for row, a in f_column[z]:
+                    index = ((outer * f.rows + row) * fr + inner) * cols + col
+                    out[index] = out[index] + a * b
+    return Matrix._raw(fl * f.rows * fr, cols, tuple(out))
+
+
+@lru_cache(maxsize=16)
 def braiding(a: int, b: int) -> Matrix:
     """Permutation matrix sending x (x) y to y (x) x for dims a and b.
 
@@ -214,14 +272,14 @@ def braiding(a: int, b: int) -> Matrix:
     if a < 1 or b < 1:
         raise ValueError(f"braiding needs dimensions >= 1, got {a} and {b}")
     size = a * b
-    out = [0] * (size * size)
+    out = [0] * _cells(size, size)
     for i in range(a):
         for j in range(b):
             out[(j * a + i) * size + (i * b + j)] = 1
     return Matrix._raw(size, size, tuple(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def interleaver(n: int, a: int, b: int) -> Matrix:
     """Permutation regrouping ``A^(x)n (x) B^(x)n`` as ``(A (x) B)^(x)n``.
 
@@ -236,7 +294,7 @@ def interleaver(n: int, a: int, b: int) -> Matrix:
     size = (a * b) ** n
     bn = b**n
     ab = a * b
-    out = [0] * (size * size)
+    out = [0] * _cells(size, size)
     for idx_a, digits_a in enumerate(itertools.product(range(a), repeat=n)):
         for idx_b, digits_b in enumerate(itertools.product(range(b), repeat=n)):
             tgt = 0

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from frob2d import data_path, load_algebra
+from frob2d import data_path, load_algebra, save_algebra
 from frob2d.cli import main
 from frob2d.examples import dual_numbers
 from frob2d.frobenius import check_extended, check_frobenius, tensor
@@ -334,6 +334,17 @@ def test_naturality_witness_prints_past_the_digit_limit(capsys, tmp_path):
                          str(swap), str(algebra), str(algebra))
     expected = f"naturality: fail at (0,1): 1/{decimal(2**14300)} != 1\n"
     assert (code, out, err) == (1, expected, "")
+
+
+def test_eval_over_the_size_budget_is_exit_2(capsys, tmp_path):
+    z2 = load_algebra(DATA["z2.json"])
+    algebra = tmp_path / "z2z2.json"
+    save_algebra(tensor(z2, z2), algebra)
+    path = tmp_path / "wide.cob"
+    path.write_text("oriented\nmult,mult,mult,mult\nmult,mult\nmult\n")
+    code, out, err = run(capsys, "eval", str(path), str(algebra))
+    assert_one_error_line(code, out, err)
+    assert "a 65536x65536 matrix has" in err
 
 
 def test_unknown_subcommand_is_exit_2(capsys):

@@ -1,6 +1,10 @@
 """Algebra axioms, morphism diagrams, tensor products, and the theta search."""
 
+import dataclasses
 import itertools
+import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from frob2d.frobenius import (
     ExtendedFrobeniusAlgebra,
     FrobeniusAlgebra,
     FrobeniusMorphism,
+    as_plain,
     check_extended,
     check_extended_morphism,
     check_frobenius,
@@ -31,7 +36,19 @@ from frob2d.frobenius import (
     tensor,
     tensor_extended,
 )
-from frob2d.linalg import Matrix, braiding, identity
+from frob2d.linalg import (
+    Matrix,
+    ShapeError,
+    SingularMatrixError,
+    apply,
+    braiding,
+    compose,
+    identity,
+    interleaver,
+    inverse,
+    kron,
+)
+from frob2d.report import AxiomReport, CheckResult, compare
 
 import oracles
 
@@ -292,6 +309,14 @@ def test_search_theta_rejects_nonpositive_bound():
         search_theta(ground_field(), identity(1), 0)
 
 
+def test_search_theta_checks_bound_then_involution_shape():
+    with pytest.raises(ValueError) as err:
+        search_theta(ground_field(), identity(2), 0)
+    assert not isinstance(err.value, ShapeError)
+    with pytest.raises(ShapeError, match="^involution must be 2x2, got 3x3$"):
+        search_theta(group_algebra_z2(), identity(3), 1)
+
+
 entry_index = st.tuples(
     st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=1)
 )
@@ -345,3 +370,203 @@ def test_algebra_equality_and_hash():
     assert dual_numbers() != group_algebra_z2()
     assert len({ground_field_extended(), ground_field_extended()}) == 1
     assert ground_field_extended(1) != ground_field_extended(-1)
+
+
+# -- the structure-constant checks against the dense formulas they replaced ------
+#
+# The reference below builds every identity-padded Kronecker layer and the
+# braiding matrix, as the checks once did; each report, witnesses included,
+# must come out exactly the same.
+
+
+def dense_check_frobenius(algebra):
+    a = as_plain(algebra)
+    n = a.dim
+    i_n = identity(n)
+    m, u, e, d = a.mult, a.unit, a.counit, a.comult
+    c = braiding(n, n)
+    dm = compose(d, m)
+    return AxiomReport((
+        compare("associativity", compose(m, kron(m, i_n)), compose(m, kron(i_n, m))),
+        compare("unit_left", compose(m, kron(u, i_n)), i_n),
+        compare("unit_right", compose(m, kron(i_n, u)), i_n),
+        compare("coassociativity", apply(d, d, 1, n), apply(d, d, n, 1)),
+        compare("counit_left", apply(e, d, 1, n), i_n),
+        compare("counit_right", apply(e, d, n, 1), i_n),
+        compare("frobenius_left", apply(m, kron(d, i_n), n, 1), dm),
+        compare("frobenius_right", apply(m, kron(i_n, d), 1, n), dm),
+        compare("commutativity", compose(m, c), m),
+        compare("cocommutativity", compose(c, d), d),
+    ))
+
+
+def dense_check_morphism(f):
+    a, b = as_plain(f.source), as_plain(f.target)
+    ff = kron(f.matrix, f.matrix)
+    return AxiomReport((
+        compare("unit", compose(f.matrix, a.unit), b.unit),
+        compare("mult", compose(f.matrix, a.mult), compose(b.mult, ff)),
+        compare("counit", compose(b.counit, f.matrix), a.counit),
+        compare("comult", compose(b.comult, f.matrix), compose(ff, a.comult)),
+    ))
+
+
+def dense_check_extended(algebra):
+    base = algebra.base
+    i_n = identity(base.dim)
+    phi, theta = algebra.involution, algebra.point
+    m, u, d = base.mult, base.unit, base.comult
+    phi_checks = tuple(
+        CheckResult("phi_" + c.name, c.passed, c.witness)
+        for c in dense_check_morphism(FrobeniusMorphism(base, base, phi)).checks
+    )
+    times_theta = compose(m, kron(theta, i_n))
+    return AxiomReport((
+        compare("involution", compose(phi, phi), i_n),
+        *phi_checks,
+        compare("theta_multiplication_fixed", compose(phi, times_theta), times_theta),
+        compare("crosscap", compose(m, kron(theta, theta)), compose(m, kron(phi, i_n), d, u)),
+        compare("phi_fixes_theta", compose(phi, theta), theta),
+    ))
+
+
+def assert_same_report(fast, dense):
+    assert fast == dense  # names, pass flags, witness row, column, lhs and rhs
+    assert fast.lines() == dense.lines()
+
+
+def bump(matrix, rng):
+    """The matrix with one random entry moved by a random nonzero rational."""
+    entries = list(matrix.entries)
+    entries[rng.randrange(len(entries))] += rng.choice([1, -1, 2, Fraction(1, 2)])
+    return Matrix(matrix.rows, matrix.cols, entries)
+
+
+def tensor_all(algebras, product=tensor):
+    out = algebras[0]
+    for a in algebras[1:]:
+        out = product(out, a)
+    return out
+
+
+z2, dn, kxk = group_algebra_z2(), dual_numbers(), split_pair()
+z2e, kxke = group_algebra_z2_extended(), split_pair_extended()
+PLAIN = list(plain_battery()) + [
+    tensor_all(factors) for factors in ([z2, kxk], [dn, z2, kxk], [z2, kxk, dn, kxk])
+]
+EXTENDED = list(extended_battery()) + [
+    tensor_all(factors, tensor_extended)
+    for factors in ([z2e, kxke], [z2e, kxke, kxke], [kxke, z2e, kxke, z2e])
+]
+STRUCTURE = ("mult", "unit", "counit", "comult")
+
+
+@pytest.mark.parametrize("algebra", PLAIN, ids=lambda a: a.name)
+def test_frobenius_checks_match_dense_reference_under_bumps(algebra):
+    rng = random.Random(algebra.name)
+    cases = [algebra] + [
+        dataclasses.replace(algebra, **{name: bump(getattr(algebra, name), rng)})
+        for name in STRUCTURE * (1 if algebra.dim == 16 else 3)
+    ]
+    assert dense_check_frobenius(algebra).passed
+    for case in cases:
+        assert_same_report(check_frobenius(case), dense_check_frobenius(case))
+
+
+@pytest.mark.parametrize("algebra", EXTENDED, ids=lambda a: a.name)
+def test_extended_checks_match_dense_reference_under_bumps(algebra):
+    rng = random.Random(algebra.name)
+    base = algebra.base
+    cases = [algebra]
+    for _ in range(1 if algebra.dim == 16 else 3):
+        cases += [
+            dataclasses.replace(
+                algebra, base=dataclasses.replace(base, **{name: bump(getattr(base, name), rng)})
+            )
+            for name in STRUCTURE
+        ]
+        cases += [
+            dataclasses.replace(algebra, **{name: bump(getattr(algebra, name), rng)})
+            for name in ("involution", "point")
+        ]
+    assert dense_check_extended(algebra).passed
+    for case in cases:
+        assert_same_report(check_extended(case), dense_check_extended(case))
+        if case.base is not base:
+            assert_same_report(check_frobenius(case), dense_check_frobenius(case))
+
+
+def random_matrix(rng, rows, cols, values=(0, 0, 1, -1, 2)):
+    return Matrix(rows, cols, [rng.choice(values) for _ in range(rows * cols)])
+
+
+def test_morphism_checks_match_dense_reference():
+    rng = random.Random(3)
+    pairs = [(a, a) for a in PLAIN] + [
+        (z2, PLAIN[-3]), (PLAIN[-3], z2), (dn, PLAIN[-2]), (PLAIN[-1], kxk)
+    ]
+    for a, b in pairs:
+        maps = [random_matrix(rng, b.dim, a.dim) for _ in range(2)]
+        if a is b:
+            maps += [identity(a.dim), bump(identity(a.dim), rng)]
+        for g in maps:
+            f = FrobeniusMorphism(a, b, g)
+            assert_same_report(check_morphism(f), dense_check_morphism(f))
+
+
+def test_structure_checks_build_no_padded_layer():
+    algebra = PLAIN[-1]  # 16-dimensional; its padded layers had 2**20 cells each
+    for cached in (identity, braiding, interleaver):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        report = check_frobenius(algebra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * 2**20
+
+
+def brute_force_theta(algebra, involution, bound):
+    grid = itertools.product(range(-bound, bound + 1), repeat=algebra.dim)
+    points = [Matrix(algebra.dim, 1, coords) for coords in grid]
+    return [
+        p for p in points
+        if check_extended(ExtendedFrobeniusAlgebra(algebra, involution, p)).passed
+    ]
+
+
+def random_involution(rng, n):
+    """A signed involutive permutation, or a diagonal of signs in a random basis."""
+    if rng.random() < 0.5:
+        perm, order = list(range(n)), rng.sample(range(n), n)
+        for i, j in zip(order[0::2], order[1::2]):
+            if rng.random() < 0.5:
+                perm[i], perm[j] = j, i
+        sign = [rng.choice([1, 1, -1]) for _ in range(n)]  # one sign per orbit
+        return Matrix(n, n, [
+            sign[min(i, perm[i])] * int(perm[i] == j) for i in range(n) for j in range(n)
+        ])
+    signs = Matrix(n, n, [rng.choice([1, -1]) * int(i == j) for i in range(n) for j in range(n)])
+    while True:
+        basis = random_matrix(rng, n, n, values=(0, 1, -1))
+        try:
+            return compose(basis, signs, inverse(basis))
+        except SingularMatrixError:
+            continue
+
+
+def test_search_theta_matches_brute_force_on_random_involutions():
+    rng = random.Random(11)
+    kk = tensor(kxk, kxk)
+    cases = [(a, 2) for a in (z2, dn, kxk)] + [(kk, 1), (tensor(z2, kxk), 1)]
+    hits = 0
+    for algebra, bound in cases:
+        involutions = [random_involution(rng, algebra.dim) for _ in range(6)]
+        involutions += [identity(algebra.dim), random_matrix(rng, algebra.dim, algebra.dim)]
+        for phi in involutions:
+            found = search_theta(algebra, phi, bound)
+            assert found == brute_force_theta(algebra, phi, bound)
+            hits += len(found)
+    assert hits  # some involutions pass the phi checks and have points

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frob2d.linalg import (
+    MAX_CELLS,
+    BudgetError,
     Matrix,
     ShapeError,
     SingularMatrixError,
@@ -14,6 +16,7 @@ from frob2d.linalg import (
     as_rational,
     braiding,
     compose,
+    compose_layers,
     identity,
     interleaver,
     inverse,
@@ -193,6 +196,62 @@ def test_apply_equals_identity_padded_layer(case):
     f, state, left, right = case
     layer = kron(kron(identity(left), f), identity(right))
     assert apply(f, state, left, right) == compose(layer, state)
+
+
+def padded(f, pad):
+    left, right = pad
+    return kron(kron(identity(left), f), identity(right))
+
+
+@st.composite
+def layer_pairs(draw):
+    pads = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    f_pad, g_pad = draw(pads), draw(pads)
+    f = draw(small_matrix(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    # g's padded output must be f's padded input: choose g.rows to fit when it can
+    mid = f_pad[0] * f.cols * f_pad[1]
+    if mid % (g_pad[0] * g_pad[1]):
+        g_pad = (1, 1)
+    g = draw(small_matrix(mid // (g_pad[0] * g_pad[1]), draw(st.integers(1, 3))))
+    return f, f_pad, g, g_pad
+
+
+@given(layer_pairs())
+@example((Matrix(2, 4, [1, 0, 0, 1, 0, 1, 1, 0]), (1, 1), Matrix(2, 2, [1, 0, 0, -1]), (1, 2)))
+@example((Matrix(2, 4, [1, 0, 0, 0, 0, 0, 0, 1]), (2, 1), Matrix(4, 2, [1, 0, 0, 0, 0, 0, 0, 1]),
+          (1, 2)))
+@example((Matrix(1, 2, [0, Fraction(1, 2)]), (1, 1), Matrix(2, 1, [3, 0]), (1, 1)))
+@settings(max_examples=80, deadline=None)
+def test_compose_layers_equals_product_of_padded_layers(case):
+    f, f_pad, g, g_pad = case
+    assert compose_layers(f, f_pad, g, g_pad) == compose(padded(f, f_pad), padded(g, g_pad))
+
+
+def test_compose_layers_rejects_mismatched_layers():
+    with pytest.raises(ShapeError, match=r"1\|2x4\|1 with 3\|2x2\|1"):
+        compose_layers(Matrix(2, 4, [0] * 8), (1, 1), identity(2), (3, 1))
+
+
+def test_oversized_results_are_refused_before_allocation():
+    assert 2**22 <= MAX_CELLS < 4096 * 2049 and issubclass(BudgetError, ShapeError)
+    column, row = Matrix(4096, 1, [1] * 4096), Matrix(1, 2049, [1] * 2049)
+    calls = [
+        ("4096x4096", lambda: identity(4096)),
+        ("4096x2049", lambda: compose(column, row)),
+        ("4096x2049", lambda: kron(column, row)),
+        ("4096x2049", lambda: apply(column, row, 1, 1)),
+        ("4096x2049", lambda: compose_layers(column, (1, 1), row, (1, 1))),
+        ("8392704x8392704", lambda: braiding(4096, 2049)),
+        ("8392704x8392704", lambda: interleaver(1, 4096, 2049)),
+    ]
+    for shape, call in calls:
+        with pytest.raises(BudgetError, match=f"^a {shape} matrix has"):
+            call()
+
+
+def test_permutation_caches_are_bounded():
+    for cached in (identity, braiding, interleaver):
+        assert cached.cache_info().maxsize is not None
 
 
 @given(small_matrix(2, 2), small_matrix(2, 2), small_matrix(2, 2))

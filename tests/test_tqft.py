@@ -24,7 +24,7 @@ from frob2d.examples import (
     split_pair_extended,
 )
 from frob2d.frobenius import FrobeniusMorphism, tensor, tensor_extended
-from frob2d.linalg import Matrix, identity
+from frob2d.linalg import BudgetError, Matrix, identity
 from frob2d.tqft import (
     ExtendedRequiredError,
     check_monoidal_naturality,
@@ -134,6 +134,13 @@ def test_phi_theta_need_extended_algebra():
     w = word([THETA], [CAP], orientation="unoriented")
     with pytest.raises(ExtendedRequiredError):
         evaluate(w, split_pair())
+
+
+def test_wide_source_is_refused_before_allocation():
+    # 8 source circles on Z2*Z2 would start from the 4**8 x 4**8 identity
+    z = group_algebra_z2()
+    with pytest.raises(BudgetError, match="^a 65536x65536 matrix has 4294967296 cells"):
+        evaluate(word([MULT] * 4, [MULT, MULT], [MULT]), tensor(z, z))
 
 
 def test_evaluation_matches_oracle_route_on_open_words():
