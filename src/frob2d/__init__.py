@@ -71,8 +71,9 @@ from .linalg import (
     interleaver,
     inverse,
     kron,
+    layer_product,
 )
-from .report import AxiomReport, CheckResult, Witness, compare
+from .report import AxiomReport, CheckResult, Witness, compare, compare_nonzeros
 from .tqft import (
     ExtendedRequiredError,
     check_monoidal_naturality,

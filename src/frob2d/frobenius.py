@@ -12,14 +12,18 @@ with the basis vector ``e_i (x) e_j`` of the tensor square at flat index
 ``i * n + j``.  An extended algebra adds an involution ``n x n`` and a
 distinguished point ``n x 1``.
 
-The axiom checks work on the structure constants directly.  A side that
-composes a map with a layer padded by identities, such as
-``mult . (mult (x) id)``, comes from ``linalg.compose_layers`` over the
-nonzeros of both (or from ``linalg.apply`` when the layer acts first on a
-state), and commutativity and cocommutativity permute the columns of
-``mult`` and the rows of ``comult``; no padded layer or braiding matrix is
-built.  Tensor products are almost all zeros, so the cost follows the
-nonzeros and the size of the compared matrices, not the padded layers.
+The axiom checks work on the structure constants directly.  Every side
+of ``check_frobenius`` is a product of structure matrices computed from
+their nonzeros: ``mult . (mult (x) id)``, ``(comult (x) id) . comult``,
+``(counit (x) id) . comult``, ``comult . mult`` and the Frobenius sides come
+from ``linalg.layer_product`` as a map from flat index to nonzero entry,
+commutativity and cocommutativity permute the nonzeros of ``mult`` and
+``comult``, and ``report.compare_nonzeros`` finds the same first witness
+``compare`` would find on the dense sides.  No padded layer, braiding
+matrix or dense side larger than the inputs is built, so the cost follows
+the nonzeros: tensor products are almost all zeros.  ``tensor``'s
+multiplication and ``derive_comult`` are single ``linalg.compose_layers``
+products, with no padded layer either.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from .linalg import (
     identity,
     inverse,
     kron,
+    layer_product,
 )
-from .report import AxiomReport, CheckResult, compare
+from .report import AxiomReport, CheckResult, compare, compare_nonzeros
 
 
 _NO_PAD = (1, 1)  # the pad of a layer with no identity strands
@@ -194,37 +199,47 @@ def derive_comult(mult: Matrix, unit: Matrix, counit: Matrix) -> Matrix:
             "degenerate Frobenius form: the pairing counit(e_i * e_j) is singular"
         ) from exc
     copairing = Matrix(n * n, 1, gram_inv.entries)
-    return apply(mult, kron(copairing, identity(n)), n, 1)
+    return compose_layers(mult, (n, 1), copairing, (1, n))
 
 
 def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
     """All commutative-Frobenius axioms as named exact matrix identities."""
     a = as_plain(algebra)
     n = a.dim
-    i_n = identity(n)
     m, u, e, d = a.mult, a.unit, a.counit, a.comult
-    dm = compose(d, m)
+    i_n = _sparse(identity(n))
+    dm = layer_product(d, _NO_PAD, m, _NO_PAD)
     # the braiding as a permutation of flat indices: x (x) y sits at y (x) x
     swap = [j * n + i for i in range(n) for j in range(n)]
-    m_swapped = Matrix._raw(n, n * n, tuple(row[s] for row in map(m.row, range(n)) for s in swap))
-    d_swapped = Matrix._raw(n * n, n, tuple(x for s in swap for x in d.row(s)))
+    nn = n * n
+    m_swapped = (n, nn, {k - k % nn + swap[k % nn]: x for k, x in m.nonzeros()})
+    d_swapped = (nn, n, {swap[k // n] * n + k % n: x for k, x in d.nonzeros()})
     checks = (
-        compare(
+        compare_nonzeros(
             "associativity",
-            compose_layers(m, _NO_PAD, m, (1, n)),
-            compose_layers(m, _NO_PAD, m, (n, 1)),
+            layer_product(m, _NO_PAD, m, (1, n)),
+            layer_product(m, _NO_PAD, m, (n, 1)),
         ),
-        compare("unit_left", compose_layers(m, _NO_PAD, u, (1, n)), i_n),
-        compare("unit_right", compose_layers(m, _NO_PAD, u, (n, 1)), i_n),
-        compare("coassociativity", apply(d, d, 1, n), apply(d, d, n, 1)),
-        compare("counit_left", apply(e, d, 1, n), i_n),
-        compare("counit_right", apply(e, d, n, 1), i_n),
-        compare("frobenius_left", compose_layers(m, (n, 1), d, (1, n)), dm),
-        compare("frobenius_right", compose_layers(m, (1, n), d, (n, 1)), dm),
-        compare("commutativity", m_swapped, m),
-        compare("cocommutativity", d_swapped, d),
+        compare_nonzeros("unit_left", layer_product(m, _NO_PAD, u, (1, n)), i_n),
+        compare_nonzeros("unit_right", layer_product(m, _NO_PAD, u, (n, 1)), i_n),
+        compare_nonzeros(
+            "coassociativity",
+            layer_product(d, (1, n), d, _NO_PAD),
+            layer_product(d, (n, 1), d, _NO_PAD),
+        ),
+        compare_nonzeros("counit_left", layer_product(e, (1, n), d, _NO_PAD), i_n),
+        compare_nonzeros("counit_right", layer_product(e, (n, 1), d, _NO_PAD), i_n),
+        compare_nonzeros("frobenius_left", layer_product(m, (n, 1), d, (1, n)), dm),
+        compare_nonzeros("frobenius_right", layer_product(m, (1, n), d, (n, 1)), dm),
+        compare_nonzeros("commutativity", m_swapped, _sparse(m)),
+        compare_nonzeros("cocommutativity", d_swapped, _sparse(d)),
     )
     return AxiomReport(checks)
+
+
+def _sparse(m: Matrix) -> tuple:
+    """A matrix as ``(rows, cols, {flat index: entry})`` over its nonzeros."""
+    return m.rows, m.cols, dict(m.nonzeros())
 
 
 def check_morphism(f: FrobeniusMorphism) -> AxiomReport:
@@ -258,10 +273,14 @@ def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
     of both, theta^2 is that map applied to theta, and the right-hand side
     of crosscap applies phi to one leg of ``comult . unit``.
     """
-    base, phi = algebra.base, algebra.involution
-    sides = _theta_sides(base, phi, algebra.point, _crosscap_rhs(base, phi))
-    fixes, fixed, crosscap = (compare(*side) for side in sides)
-    return AxiomReport((*_phi_checks(base, phi), fixed, crosscap, fixes))
+    base, phi, theta = algebra.base, algebra.involution, algebra.point
+    times_theta = compose_layers(base.mult, _NO_PAD, theta, (1, base.dim))
+    return AxiomReport((
+        *_phi_checks(base, phi),
+        compare("theta_multiplication_fixed", compose(phi, times_theta), times_theta),
+        compare("crosscap", compose(times_theta, theta), _crosscap_rhs(base, phi)),
+        compare("phi_fixes_theta", compose(phi, theta), theta),
+    ))
 
 
 def _phi_checks(base: FrobeniusAlgebra, phi: Matrix) -> tuple[CheckResult, ...]:
@@ -278,12 +297,32 @@ def _crosscap_rhs(base: FrobeniusAlgebra, phi: Matrix) -> Matrix:
     return compose(base.mult, apply(phi, compose(base.comult, base.unit), 1, base.dim))
 
 
-def _theta_sides(base: FrobeniusAlgebra, phi: Matrix, theta: Matrix, crosscap_rhs: Matrix):
-    """(name, lhs, rhs) of the theta checks, the two linear in theta first; lazy."""
-    yield "phi_fixes_theta", compose(phi, theta), theta
-    times_theta = compose_layers(base.mult, _NO_PAD, theta, (1, base.dim))
-    yield "theta_multiplication_fixed", compose(phi, times_theta), times_theta
-    yield "crosscap", compose(times_theta, theta), crosscap_rhs
+def _theta_conditions(base: FrobeniusAlgebra, phi: Matrix) -> tuple[list, list]:
+    """The theta checks compiled to conditions on the point's coordinates p.
+
+    Returns ``(linear, quadratic)``.  Each linear row is a list of
+    ``(k, c)`` with ``sum(c * p[k]) == 0`` required: the rows of ``phi - id``
+    (phi_fixes_theta), then of ``(phi - id) . mult . (p (x) id)``
+    (theta_multiplication_fixed), without zero or repeated rows.  Each
+    quadratic form is ``(terms, r)`` with ``sum(x * p[k] * p[j]) == r`` over
+    ``(k, j, x)`` in terms required: one per row of crosscap, over the
+    nonzeros of ``mult``.
+    """
+    n = base.dim
+    diagonal = range(0, n * n, n + 1)
+    phi_minus_id = Matrix(n, n, (x - (k in diagonal) for k, x in enumerate(phi.entries)))
+    pm = compose(phi_minus_id, base.mult)  # row i, column k * n + c: p[k]'s weight in row (i, c)
+    rows = [phi_minus_id.row(i) for i in range(n)]
+    rows += [pm.row(i)[c::n] for i in range(n) for c in range(n)]
+    linear = [list(row) for row in dict.fromkeys(
+        tuple((k, x) for k, x in enumerate(row) if x) for row in rows
+    ) if row]
+    terms = [[] for _ in range(n)]
+    for index, x in base.mult.nonzeros():
+        r, col = divmod(index, n * n)
+        terms[r].append((*divmod(col, n), x))
+    rhs = _crosscap_rhs(base, phi).entries
+    return linear, list(zip(terms, rhs))
 
 
 def check_extended_morphism(f: FrobeniusMorphism) -> AxiomReport:
@@ -311,11 +350,11 @@ def tensor(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
     comultiplication braids the two middle factors back.
     """
     na, nb = a.dim, b.dim
-    shuffle_in = kron(identity(na), kron(braiding(nb, na), identity(nb)))  # A.B.A.B -> A.A.B.B
     return FrobeniusAlgebra(
         name=f"{a.name}*{b.name}",
         basis=tuple(f"({x},{y})" for x in a.basis for y in b.basis),
-        mult=compose(kron(a.mult, b.mult), shuffle_in),
+        # A.B.A.B -> A.A.B.B, then both multiplications
+        mult=compose_layers(kron(a.mult, b.mult), _NO_PAD, braiding(nb, na), (na, nb)),
         unit=kron(a.unit, b.unit),
         counit=kron(a.counit, b.counit),
         comult=apply(braiding(na, nb), kron(a.comult, b.comult), na, nb),
@@ -341,10 +380,13 @@ def search_theta(algebra: FrobeniusAlgebra, involution: Matrix, bound: int) -> l
     passes, in lexicographic order of their coordinate tuples.  The
     involution's shape is checked once (ShapeError), and the involution and
     phi_* checks, which do not involve the point, run once: if any fails
-    there are no hits.  The crosscap right-hand side is computed once; each
-    candidate is then tested against phi_fixes_theta and
-    theta_multiplication_fixed, which are linear in the point, before the
-    quadratic crosscap.  The search is grid-relative: an empty result only
+    there are no hits.  The theta checks are then compiled once into
+    conditions on the coordinates: integer rows for phi_fixes_theta and
+    theta_multiplication_fixed, which are linear in the point, and one
+    quadratic form per row of crosscap over the nonzeros of ``mult``.  Each
+    grid point is tested with plain int and Fraction arithmetic, the linear
+    rows first and stopping at the first that fails, and a ``Matrix`` is
+    built only for a hit.  The search is grid-relative: an empty result only
     rules out integer points within the bound.
     """
     if bound < 1:
@@ -353,10 +395,11 @@ def search_theta(algebra: FrobeniusAlgebra, involution: Matrix, bound: int) -> l
     _expect_shape("involution", involution, n, n)
     if not all(c.passed for c in _phi_checks(algebra, involution)):
         return []
-    rhs = _crosscap_rhs(algebra, involution)
+    linear, quadratic = _theta_conditions(algebra, involution)
     hits = []
-    for coords in itertools.product(range(-bound, bound + 1), repeat=n):
-        point = Matrix(n, 1, coords)
-        if all(lhs == r for _, lhs, r in _theta_sides(algebra, involution, point, rhs)):
-            hits.append(point)
+    for p in itertools.product(range(-bound, bound + 1), repeat=n):
+        if any(sum(c * p[k] for k, c in row) for row in linear):
+            continue
+        if all(sum(x * p[k] * p[j] for k, j, x in terms) == r for terms, r in quadratic):
+            hits.append(Matrix(n, 1, p))
     return hits

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense matrices and sparse products.
 
 Scalars are Python ints or ``fractions.Fraction`` values and every
 operation is exact.  Conventions fixed here and relied on by the whole
@@ -15,9 +15,12 @@ package:
 * ``apply(f, state, left, right)`` is ``kron(identity(left), f,
   identity(right)) . state``: ``f`` acts on chosen strands of a state
   whose other strands pass through, and no padded layer is built.
-* ``compose_layers(f, f_pad, g, g_pad)`` multiplies two such padded
-  layers from the nonzeros of ``f`` and ``g`` alone, for sparse
-  structure matrices.
+* ``layer_product(f, f_pad, g, g_pad)`` multiplies two such padded
+  layers from the nonzeros of ``f`` and ``g`` alone and returns the
+  product's own nonzeros as ``(rows, cols, {flat index: entry})``, so a
+  sparse product is never laid out densely; ``compose_layers`` is the
+  same product as a dense ``Matrix``.  ``Matrix.nonzeros()`` lists (and
+  remembers) a matrix's nonzero entries for these loops.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
 * ``braiding(a, b)`` swaps tensor factors and ``interleaver(n, a, b)``
@@ -82,7 +85,7 @@ def as_rational(value) -> Rational:
 class Matrix:
     """Immutable dense matrix of exact rationals, stored row-major."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzeros")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
         if rows < 0 or cols < 0:
@@ -95,6 +98,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = cells
+        self._nonzeros = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
@@ -103,6 +107,7 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m.entries = entries
+        m._nonzeros = None
         return m
 
     def __getitem__(self, index: tuple) -> Rational:
@@ -115,6 +120,12 @@ class Matrix:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def nonzeros(self) -> tuple:
+        """The ``(flat index, entry)`` pairs of the nonzero entries, in row-major order."""
+        if self._nonzeros is None:
+            self._nonzeros = tuple((k, x) for k, x in enumerate(self.entries) if x)
+        return self._nonzeros
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -229,27 +240,32 @@ def apply(f: Matrix, state: Matrix, left: int, right: int) -> Matrix:
     return Matrix._raw(left * f.rows * right, state.cols, tuple(out))
 
 
-def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
-    """``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` for pads ``(l, r)`` and ``(l', r')``.
-
-    Neither layer is built: every nonzero of ``g``, repeated over its pad,
-    meets the nonzeros of ``f`` in the column it feeds, so the work is
-    about nnz(g) * l' * r' * (nonzeros per column of f) plus the output.
-    """
+def _layer_shape(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> tuple:
+    """The shape of the product of two padded layers, or ShapeError if they do not meet."""
     (fl, fr), (gl, gr) = f_pad, g_pad
     if fl * f.cols * fr != gl * g.rows * gr:
         raise ShapeError(
             f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g.rows}x{g.cols}|{gr}"
         )
-    cols = gl * g.cols * gr
-    out = [0] * _cells(fl * f.rows * fr, cols)
+    return fl * f.rows * fr, gl * g.cols * gr
+
+
+def layer_product(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> tuple:
+    """The nonzeros of ``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` for pads ``(l, r)``, ``(l', r')``.
+
+    Returns ``(rows, cols, {flat index: entry})`` with no zero entry: sums
+    that cancel are dropped.  Neither layer is built: every nonzero of
+    ``g``, repeated over its pad, meets the nonzeros of ``f`` in the column
+    it feeds, so the work is about nnz(g) * l' * r' * (nonzeros per column
+    of f), and the memory is the nonzeros of the product.
+    """
+    rows, cols = _layer_shape(f, f_pad, g, g_pad)
+    fr, (gl, gr) = f_pad[1], g_pad
     f_column = [[] for _ in range(f.cols)]  # (row, entry) of each nonzero of f, by column
-    for k, a in enumerate(f.entries):
-        if a:
-            f_column[k % f.cols].append((k // f.cols, a))
-    for k, b in enumerate(g.entries):
-        if not b:
-            continue
+    for k, a in f.nonzeros():
+        f_column[k % f.cols].append((k // f.cols, a))
+    out = {}
+    for k, b in g.nonzeros():
         y, x = divmod(k, g.cols)
         for left in range(gl):
             for right in range(gr):
@@ -259,8 +275,17 @@ def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
                 col = (left * g.cols + x) * gr + right
                 for row, a in f_column[z]:
                     index = ((outer * f.rows + row) * fr + inner) * cols + col
-                    out[index] = out[index] + a * b
-    return Matrix._raw(fl * f.rows * fr, cols, tuple(out))
+                    out[index] = out.get(index, 0) + a * b
+    return rows, cols, {k: x for k, x in out.items() if x}
+
+
+def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
+    """``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` as a dense matrix (see ``layer_product``)."""
+    rows, cols = _layer_shape(f, f_pad, g, g_pad)
+    out = [0] * _cells(rows, cols)
+    for k, x in layer_product(f, f_pad, g, g_pad)[2].items():
+        out[k] = x
+    return Matrix._raw(rows, cols, tuple(out))
 
 
 @lru_cache(maxsize=16)

@@ -74,3 +74,21 @@ def compare(name: str, lhs: Matrix, rhs: Matrix) -> CheckResult:
         if x != y:
             return CheckResult(name, False, Witness(index // lhs.cols, index % lhs.cols, x, y))
     raise AssertionError("unreachable: unequal tuples with equal elements")
+
+
+def compare_nonzeros(name: str, lhs: tuple, rhs: tuple) -> CheckResult:
+    """``compare`` on sides given by their nonzeros, as ``(rows, cols, {flat index: entry})``.
+
+    The result, witness included, is the one ``compare`` gives for the
+    dense forms of the two sides; an entry equal to zero counts as absent.
+    """
+    (rows, cols, left), (rhs_rows, rhs_cols, right) = lhs, rhs
+    if (rows, cols) != (rhs_rows, rhs_cols):
+        raise ShapeError(f"check {name!r} compares {rows}x{cols} with {rhs_rows}x{rhs_cols}")
+    differ = [k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
+    if not differ:
+        return CheckResult(name, True)
+    index = min(differ)
+    return CheckResult(
+        name, False, Witness(index // cols, index % cols, left.get(index, 0), right.get(index, 0))
+    )

@@ -514,18 +514,43 @@ def test_morphism_checks_match_dense_reference():
             assert_same_report(check_morphism(f), dense_check_morphism(f))
 
 
-def test_structure_checks_build_no_padded_layer():
-    algebra = PLAIN[-1]  # 16-dimensional; its padded layers had 2**20 cells each
+def traced_peak(call):
+    """``call()`` and the peak bytes it allocated, with the permutation caches cleared."""
     for cached in (identity, braiding, interleaver):
         cached.cache_clear()
     tracemalloc.start()
     try:
-        report = check_frobenius(algebra)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+# A 16-dimensional algebra's padded layers had 2**20 cells, and its dense
+# axiom sides 2**16; half a MiB holds neither.
+NO_PADDED_LAYER = 2**19
+
+
+def test_structure_checks_build_no_padded_layer():
+    report, peak = traced_peak(lambda: check_frobenius(PLAIN[-1]))
     assert report.passed
-    assert peak < 4 * 2**20
+    assert peak < NO_PADDED_LAYER
+
+
+def test_tensor_builds_no_padded_layer():
+    a, b = tensor(z2, kxk), tensor(dn, kxk)
+    product, peak = traced_peak(lambda: tensor(a, b))
+    # the same structure matrices as (((Z2 * KxK) * D) * KxK); only the labels nest differently
+    assert dataclasses.replace(product, basis=PLAIN[-1].basis) == PLAIN[-1]
+    assert peak < NO_PADDED_LAYER
+
+
+def test_derive_comult_builds_no_padded_layer():
+    algebra = PLAIN[-1]
+    comult, peak = traced_peak(lambda: derive_comult(algebra.mult, algebra.unit, algebra.counit))
+    assert comult == algebra.comult
+    assert peak < NO_PADDED_LAYER
 
 
 def brute_force_theta(algebra, involution, bound):
@@ -570,3 +595,49 @@ def test_search_theta_matches_brute_force_on_random_involutions():
             assert found == brute_force_theta(algebra, phi, bound)
             hits += len(found)
     assert hits  # some involutions pass the phi checks and have points
+
+
+def test_search_theta_kxk_cubed_identity_involution_matches_brute_force():
+    algebra = tensor_all([kxk, kxk, kxk])
+    found = search_theta(algebra, identity(8), 1)
+    # KxK^3 is eight idempotents with counit 1 each: theta is any sign vector
+    assert [tuple(p.entries) for p in found] == list(itertools.product((-1, 1), repeat=8))
+    assert found == brute_force_theta(algebra, identity(8), 1)
+
+
+def in_basis(algebra, b):
+    """The same algebra written in the basis given by the columns of ``b``."""
+    inv = inverse(b)
+    return dataclasses.replace(
+        algebra,
+        mult=compose(inv, algebra.mult, kron(b, b)),
+        unit=compose(inv, algebra.unit),
+        counit=compose(algebra.counit, b),
+        comult=compose(kron(inv, inv), algebra.comult, b),
+    )
+
+
+def test_search_theta_matches_brute_force_in_other_bases_and_under_bumps():
+    # structure constants other than 0 and 1, on algebras with points and without;
+    # on D * Z2 with phi = id (x) (x -> -x), crosscap holds at nilpotent points
+    # x_D (x) (p + q x_Z2) that theta_multiplication_fixed rules out
+    rng = random.Random(12)
+    hits = 0
+    for algebra, phi, bound in ((kxk, Matrix(2, 2, [0, 1, 1, 0]), 2),
+                                (tensor(kxk, kxk), braiding(2, 2), 1),
+                                (tensor(dn, z2), kron(identity(2), Matrix(2, 2, [1, 0, 0, -1])), 1)):
+        n = algebra.dim
+        # unitriangular, so integer points stay integer points
+        b = Matrix(n, n, [int(i == j) or rng.choice((0, 1, -1)) * int(i < j)
+                          for i in range(n) for j in range(n)])
+        moved = in_basis(algebra, b)
+        cases = [moved] + [
+            dataclasses.replace(moved, **{name: bump(getattr(moved, name), rng)})
+            for name in STRUCTURE
+        ]
+        for case in cases:
+            for involution in (identity(n), compose(inverse(b), phi, b)):
+                found = search_theta(case, involution, bound)
+                assert found == brute_force_theta(case, involution, bound)
+                hits += len(found)
+    assert hits

@@ -22,7 +22,9 @@ from frob2d.linalg import (
     inverse,
     is_permutation_matrix,
     kron,
+    layer_product,
 )
+from frob2d.report import compare, compare_nonzeros
 
 scalars = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -230,6 +232,87 @@ def test_compose_layers_equals_product_of_padded_layers(case):
 def test_compose_layers_rejects_mismatched_layers():
     with pytest.raises(ShapeError, match=r"1\|2x4\|1 with 3\|2x2\|1"):
         compose_layers(Matrix(2, 4, [0] * 8), (1, 1), identity(2), (3, 1))
+
+
+def test_layer_product_drops_sums_that_cancel():
+    # (1, -1) . (1, 1)^T and (1/2, -1/2) . (1, 1)^T are both zero
+    ones = Matrix(2, 1, [1, 1])
+    for row in (Matrix(1, 2, [1, -1]), Matrix(1, 2, [Fraction(1, 2), Fraction(-1, 2)])):
+        assert layer_product(row, (1, 1), ones, (1, 1)) == (1, 1, {})
+        assert layer_product(row, (1, 2), ones, (1, 2)) == (2, 2, {})
+    f, g = Matrix(2, 2, [1, 1, 0, 2]), Matrix(2, 1, [1, -1])
+    assert layer_product(f, (1, 1), g, (1, 1)) == (2, 1, {1: -2})
+
+
+@given(small_matrix(3, 4))
+@example(Matrix(2, 2, [0, Fraction(1, 2), 0, 3]))
+@example(Matrix(1, 3, [0, 0, 0]))
+@settings(max_examples=40, deadline=None)
+def test_nonzeros_lists_the_nonzero_entries_and_leaves_equality_alone(m):
+    twin = Matrix(m.rows, m.cols, m.entries)
+    assert m.nonzeros() == tuple((k, x) for k, x in enumerate(m.entries) if x)
+    assert m.nonzeros() is m.nonzeros()  # remembered
+    assert m == twin and hash(m) == hash(twin)  # one has its nonzeros memo, one not
+    assert {m, twin} == {twin}
+
+
+zero_sums = st.sampled_from([1 + -1, Fraction(1, 2) + Fraction(-1, 2), Fraction(0)])
+
+
+@st.composite
+def sparse_sides(draw, shape):
+    """A side as (rows, cols, {index: entry}), some zero entries kept as cancelled sums."""
+    rows, cols = shape
+    side = {}
+    for k in draw(st.permutations(range(rows * cols))):  # in no particular order
+        x = draw(st.one_of(st.just(0), scalars))
+        if x or draw(st.booleans()):
+            side[k] = x if x else draw(zero_sums)
+    return rows, cols, side
+
+
+@st.composite
+def side_pairs(draw):
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    lhs = draw(sparse_sides(shape))
+    kind = draw(st.sampled_from(["random", "equal", "bumped", "reshaped"]))
+    if kind == "random":
+        return lhs, draw(sparse_sides(shape))
+    if kind == "reshaped":
+        return lhs, draw(sparse_sides(draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))))
+    rhs = dict(lhs[2])
+    if kind == "bumped":
+        k = draw(st.integers(0, shape[0] * shape[1] - 1))
+        rhs[k] = rhs.get(k, 0) + draw(scalars)
+    return lhs, (*shape, rhs)
+
+
+def dense(side):
+    rows, cols, nonzeros = side
+    return Matrix(rows, cols, [nonzeros.get(k, 0) for k in range(rows * cols)])
+
+
+@given(side_pairs())
+@example(((1, 2, {0: 1 + -1, 1: 2}), (1, 2, {1: 2})))
+@example(((2, 1, {1: Fraction(1, 2) + Fraction(-1, 2)}), (2, 1, {0: 0})))
+@example(((2, 2, {3: 1}), (2, 2, {0: Fraction(0), 3: 1})))
+@example(((2, 2, {1: 1, 2: 5}), (2, 2, {1: 1, 2: 4})))
+@example(((1, 4, {}), (2, 2, {})))
+@example(((2, 2, {3: 1, 1: 2}), (2, 2, {3: 2, 1: 2, 0: 1})))
+@example(((3, 3, {8: 1, 1: 1}), (3, 3, {})))  # a set of {8, 1} iterates 8 first
+@settings(max_examples=150, deadline=None)
+def test_compare_nonzeros_equals_compare_on_dense_forms(pair):
+    lhs, rhs = pair
+    try:
+        expect = compare("side", dense(lhs), dense(rhs))
+    except ShapeError as err:
+        with pytest.raises(ShapeError) as got:
+            compare_nonzeros("side", lhs, rhs)
+        assert str(got.value) == str(err)
+        return
+    result = compare_nonzeros("side", lhs, rhs)
+    assert result == expect  # pass flag and witness row, column, lhs and rhs
+    assert result.line() == expect.line()
 
 
 def test_oversized_results_are_refused_before_allocation():
