@@ -6,8 +6,6 @@ and cross-checks the functorial properties (naturality, monoidality,
 multiplicativity of closed-surface invariants) at instance level.
 """
 
-from importlib.resources import files
-
 from .cobordism import (
     CobordismWord,
     Generator,
@@ -84,6 +82,7 @@ from .tqft import (
     naturality_dictionary,
     random_word,
     random_words,
+    surface_invariant,
 )
 
 __version__ = "0.1.0"
@@ -91,4 +90,6 @@ __version__ = "0.1.0"
 
 def data_path(name: str):
     """Path to a bundled data file (algebra JSONs and word files)."""
+    from importlib.resources import files  # here, not at import: only data_path needs it
+
     return files("frob2d") / "data" / name

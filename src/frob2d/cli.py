@@ -9,12 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cobordism import (
-    WordError,
-    closed_oriented_surface,
-    closed_unoriented_surface,
-    load_word,
-)
+from .cobordism import WordError, load_word
 from .documents import DocumentError, load_algebra, load_morphism, save_algebra
 from .frobenius import (
     DegenerateFormError,
@@ -28,7 +23,13 @@ from .frobenius import (
 )
 from .linalg import ShapeError, identity
 from .report import AxiomReport
-from .tqft import ExtendedRequiredError, check_naturality, evaluate, naturality_dictionary
+from .tqft import (
+    ExtendedRequiredError,
+    check_naturality,
+    evaluate,
+    naturality_dictionary,
+    surface_invariant,
+)
 
 OK = 0
 CHECK_FAILED = 1
@@ -87,16 +88,11 @@ def _cmd_invariant(args) -> int:
         raise DocumentError("genus must be nonnegative")
     if args.crosscaps < 0:
         raise DocumentError("crosscaps must be nonnegative")
-    if args.crosscaps > 0:
-        if not isinstance(algebra, ExtendedFrobeniusAlgebra):
-            raise DocumentError("extended structure required for cross-caps")
-        word = closed_unoriented_surface(args.crosscaps, args.genus)
-    else:
-        word = closed_oriented_surface(args.genus)
+    if args.crosscaps > 0 and not isinstance(algebra, ExtendedFrobeniusAlgebra):
+        raise DocumentError("extended structure required for cross-caps")
     if _refused(_full_report(algebra), "algebra"):
         return CHECK_FAILED
-    value = evaluate(word, algebra)
-    _print([value[0, 0]])
+    _print([surface_invariant(algebra, args.genus, args.crosscaps)])
     return OK
 
 

@@ -14,9 +14,10 @@ phi and theta only occur in unoriented words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+from .linalg import Record
 
 
 class Generator(Enum):
@@ -45,21 +46,20 @@ class WordError(ValueError):
     """An ill-formed cobordism word or word file."""
 
 
-@dataclass(frozen=True)
-class CobordismWord:
-    orientation: str
-    slices: tuple[tuple[Generator, ...], ...]
+class CobordismWord(Record):
+    __slots__ = ("orientation", "slices")
 
-    def __post_init__(self):
-        if self.orientation not in ("oriented", "unoriented"):
+    def __init__(self, orientation: str, slices: tuple[tuple[Generator, ...], ...]) -> None:
+        if orientation not in ("oriented", "unoriented"):
             raise WordError(
-                f"orientation must be 'oriented' or 'unoriented', got {self.orientation!r}"
+                f"orientation must be 'oriented' or 'unoriented', got {orientation!r}"
             )
-        slices = tuple(tuple(s) for s in self.slices)
+        slices = tuple(tuple(s) for s in slices)
         for s in slices:
             for g in s:
                 if not isinstance(g, Generator):
                     raise WordError(f"not a generator: {g!r}")
+        object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "slices", slices)
 
     @property

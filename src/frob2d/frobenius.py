@@ -29,11 +29,11 @@ products, with no padded layer either.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .linalg import (
     Matrix,
+    Record,
     ShapeError,
     SingularMatrixError,
     apply,
@@ -50,6 +50,7 @@ from .report import AxiomReport, CheckResult, compare, compare_nonzeros
 
 
 _NO_PAD = (1, 1)  # the pad of a layer with no identity strands
+_set = object.__setattr__  # sets a Record's field once, in its __init__
 
 
 class DegenerateFormError(ValueError):
@@ -61,28 +62,36 @@ def _expect_shape(what: str, m: Matrix, rows: int, cols: int) -> None:
         raise ShapeError(f"{what} must be {rows}x{cols}, got {m.rows}x{m.cols}")
 
 
-@dataclass(frozen=True)
-class FrobeniusAlgebra:
+class FrobeniusAlgebra(Record):
     """Commutative Frobenius algebra given by rational structure constants."""
 
-    name: str
-    basis: tuple[str, ...]
-    mult: Matrix
-    unit: Matrix
-    counit: Matrix
-    comult: Matrix
+    __slots__ = ("name", "basis", "mult", "unit", "counit", "comult")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        n = len(self.basis)
+    def __init__(
+        self,
+        name: str,
+        basis: tuple[str, ...],
+        mult: Matrix,
+        unit: Matrix,
+        counit: Matrix,
+        comult: Matrix,
+    ) -> None:
+        basis = tuple(basis)
+        n = len(basis)
         if n < 1:
             raise ValueError("an algebra needs at least one basis vector")
-        if len(set(self.basis)) != n:
-            raise ValueError(f"duplicate basis labels in {self.basis!r}")
-        _expect_shape("mult", self.mult, n, n * n)
-        _expect_shape("unit", self.unit, n, 1)
-        _expect_shape("counit", self.counit, 1, n)
-        _expect_shape("comult", self.comult, n * n, n)
+        if len(set(basis)) != n:
+            raise ValueError(f"duplicate basis labels in {basis!r}")
+        _expect_shape("mult", mult, n, n * n)
+        _expect_shape("unit", unit, n, 1)
+        _expect_shape("counit", counit, 1, n)
+        _expect_shape("comult", comult, n * n, n)
+        _set(self, "name", name)
+        _set(self, "basis", basis)
+        _set(self, "mult", mult)
+        _set(self, "unit", unit)
+        _set(self, "counit", counit)
+        _set(self, "comult", comult)
 
     @property
     def dim(self) -> int:
@@ -132,18 +141,18 @@ def _vector_matrix(what, n, values, column: bool) -> Matrix:
     return Matrix(n, 1, values) if column else Matrix(1, n, values)
 
 
-@dataclass(frozen=True)
-class ExtendedFrobeniusAlgebra:
+class ExtendedFrobeniusAlgebra(Record):
     """A Frobenius algebra together with an involution and a point."""
 
-    base: FrobeniusAlgebra
-    involution: Matrix
-    point: Matrix
+    __slots__ = ("base", "involution", "point")
 
-    def __post_init__(self):
-        n = self.base.dim
-        _expect_shape("involution", self.involution, n, n)
-        _expect_shape("point", self.point, n, 1)
+    def __init__(self, base: FrobeniusAlgebra, involution: Matrix, point: Matrix) -> None:
+        n = base.dim
+        _expect_shape("involution", involution, n, n)
+        _expect_shape("point", point, n, 1)
+        _set(self, "base", base)
+        _set(self, "involution", involution)
+        _set(self, "point", point)
 
     @property
     def name(self) -> str:
@@ -166,17 +175,16 @@ def as_plain(algebra: AnyAlgebra) -> FrobeniusAlgebra:
     return algebra.base if isinstance(algebra, ExtendedFrobeniusAlgebra) else algebra
 
 
-@dataclass(frozen=True)
-class FrobeniusMorphism:
+class FrobeniusMorphism(Record):
     """A linear map between algebras, stored target-by-source."""
 
-    source: AnyAlgebra
-    target: AnyAlgebra
-    matrix: Matrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        t, s = as_plain(self.target).dim, as_plain(self.source).dim
-        _expect_shape("morphism matrix", self.matrix, t, s)
+    def __init__(self, source: AnyAlgebra, target: AnyAlgebra, matrix: Matrix) -> None:
+        _expect_shape("morphism matrix", matrix, as_plain(target).dim, as_plain(source).dim)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "matrix", matrix)
 
 
 def derive_comult(mult: Matrix, unit: Matrix, counit: Matrix) -> Matrix:

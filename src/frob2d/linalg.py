@@ -23,6 +23,11 @@ package:
   remembers) a matrix's nonzero entries for these loops.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
+  ``MAX_ENTRY_BITS`` bounds the entries that repeated squaring may build
+  (``tqft.surface_invariant``) the same way.
+* ``Record`` is the immutable base of the package's value types (reports,
+  words, algebras, morphisms): field-wise ``==``, ``hash`` and repr, no
+  assignment, and ``replace(**changes)``.
 * ``braiding(a, b)`` swaps tensor factors and ``interleaver(n, a, b)``
   regroups ``A^(x)n (x) B^(x)n`` as ``(A (x) B)^(x)n``; both are
   permutation matrices.
@@ -61,6 +66,12 @@ def _cells(rows: int, cols: int) -> int:
     return rows * cols
 
 
+# Entries of at most about a million bits print in about two seconds; a
+# squaring may double its entries' bit length, and the answer it leads to
+# is at most twice the largest square.
+MAX_ENTRY_BITS = 2**19
+
+
 class SingularMatrixError(ValueError):
     """A square matrix with no inverse."""
 
@@ -80,6 +91,55 @@ def as_rational(value) -> Rational:
     if isinstance(value, str):
         return as_rational(Fraction(value))
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
+
+
+class Record:
+    """Base of immutable values with named fields.
+
+    A subclass lists its fields in ``__slots__`` (after those of its bases)
+    and sets each once in its ``__init__`` with ``object.__setattr__``, after
+    its own checks.  Values of the same class compare and hash
+    field by field, print as ``Name(field=value, ...)`` and refuse
+    assignment; ``replace(**changes)`` builds a new value through
+    ``__init__``, so the checks run again.
+    """
+
+    __slots__ = ()
+    _names: tuple = ()  # the field names, set per subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = cls._names + tuple(cls.__dict__.get("__slots__", ()))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def replace(self, **changes) -> "Record":
+        """A copy with the given fields changed, checked like a new value."""
+        fields = dict(zip(self._names, self._fields()))
+        fields.update(changes)
+        return type(self)(**fields)
 
 
 class Matrix:

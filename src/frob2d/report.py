@@ -2,27 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Matrix, Rational, ShapeError
+from .linalg import Matrix, Rational, Record, ShapeError
+
+_set = object.__setattr__  # sets a Record's field once, in its __init__
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """First differing entry, in row-major order, of a failed identity."""
 
-    row: int
-    col: int
-    lhs: Rational
-    rhs: Rational
+    __slots__ = ("row", "col", "lhs", "rhs")
+
+    def __init__(self, row: int, col: int, lhs: Rational, rhs: Rational) -> None:
+        _set(self, "row", row)
+        _set(self, "col", col)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Optional[Witness] = None
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Optional[Witness] = None) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "witness", witness)
 
     def line(self) -> str:
         if self.passed:
@@ -33,11 +38,13 @@ class CheckResult:
         return f"{self.name}: fail at ({w.row},{w.col}): {w.lhs} != {w.rhs}"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """An ordered list of named checks; passes only if every check does."""
 
-    checks: tuple[CheckResult, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        _set(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

@@ -6,6 +6,15 @@ the n**source basis columns and applies each non-id generator to its own
 strands only (``linalg.apply``), so no identity-padded layer is built.
 Closed words evaluate to 1x1 matrices whose single entry is the surface
 invariant.
+
+``surface_invariant`` computes the invariant of a closed surface without
+building its word.  ``closed_oriented_surface(g)`` is literally
+``counit . (mult . comult)^g . unit`` and ``closed_unoriented_surface(k, g)``
+is ``counit . (mult . comult)^g . L^(k-1) . theta`` with
+``L = mult . (theta (x) id)``, so it takes those n x n powers by repeated
+squaring.  Matrix products are exact and associative, so the value equals
+``invariant`` of the word for every algebra, whether or not it passes its
+axioms.  The squarings are bounded by ``linalg.MAX_ENTRY_BITS``.
 """
 
 from __future__ import annotations
@@ -30,11 +39,14 @@ from .frobenius import (
     tensor_extended,
 )
 from .linalg import (
+    MAX_ENTRY_BITS,
+    BudgetError,
     Matrix,
     Rational,
     apply,
     braiding,
     compose,
+    compose_layers,
     identity,
     interleaver,
     kron,
@@ -95,6 +107,47 @@ def invariant(word: CobordismWord, algebra: AnyAlgebra) -> Rational:
             f"invariants need a closed word, this one has boundary {source} -> {target}"
         )
     return evaluate(word, algebra)[0, 0]
+
+
+def surface_invariant(algebra: AnyAlgebra, genus: int, crosscaps: int = 0) -> Rational:
+    """The invariant of the closed surface with ``genus`` handles and ``crosscaps`` cross-caps.
+
+    Equals ``invariant(closed_oriented_surface(genus), algebra)`` when
+    ``crosscaps`` is 0 and ``invariant(closed_unoriented_surface(crosscaps,
+    genus), algebra)`` otherwise, for every algebra.  Cross-caps need an
+    extended algebra (ExtendedRequiredError).  Raises BudgetError when a
+    squaring would build entries of more than ``MAX_ENTRY_BITS`` bits.
+    """
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
+    if crosscaps < 0:
+        raise ValueError(f"crosscaps must be >= 0, got {crosscaps}")
+    base = as_plain(algebra)
+    state = base.unit
+    if crosscaps:
+        theta = _generator_matrix(Generator.THETA, algebra)
+        times_theta = compose_layers(base.mult, (1, 1), theta, (1, base.dim))  # L
+        state = _power(times_theta, crosscaps - 1, theta)
+    state = _power(compose(base.mult, base.comult), genus, state)
+    return compose(base.counit, state)[0, 0]
+
+
+def _power(m: Matrix, exponent: int, state: Matrix) -> Matrix:
+    """``m^exponent . state`` for a square ``m``, squaring ``m`` once per exponent bit."""
+    while exponent:
+        if exponent & 1:
+            state = compose(m, state)
+        exponent >>= 1
+        if exponent:
+            bits = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                       for x in m.entries)
+            if 2 * bits > MAX_ENTRY_BITS:
+                raise BudgetError(
+                    f"squaring a {m.rows}x{m.cols} matrix with {bits}-bit entries "
+                    f"would pass the entry budget of {MAX_ENTRY_BITS} bits"
+                )
+            m = compose(m, m)
+    return state
 
 
 def check_naturality(

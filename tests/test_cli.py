@@ -1,10 +1,14 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import frob2d
 from frob2d import data_path, load_algebra, save_algebra
 from frob2d.cli import main
 from frob2d.examples import dual_numbers
@@ -103,6 +107,8 @@ def test_invariant_goldens(capsys):
     for args, expected in (
         (("invariant", DATA["dual_numbers.json"], "--genus", "1"), "2\n"),
         (("invariant", DATA["kxk_ext.json"], "--crosscaps", "2"), "2\n"),
+        (("invariant", DATA["kxk_ext.json"], "--crosscaps", "1"), "0\n"),
+        (("invariant", DATA["k_ext_minus.json"], "--crosscaps", "3", "--genus", "2"), "-1\n"),
         (("invariant", DATA["z2.json"], "--genus", "3"), "8\n"),
         (("invariant", DATA["k.json"]), "1\n"),
     ):
@@ -313,9 +319,17 @@ def decimal(value) -> str:
 
 def test_invariant_prints_past_the_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
-    code, out, err = run(capsys, "invariant", DATA["z2.json"], "--genus", "14400")
-    assert sys.get_int_max_str_digits() == limit  # lifted for printing only
-    assert (code, out, err) == (0, decimal(2**14400) + "\n", "")
+    for genus in (14400, 100000):
+        code, out, err = run(capsys, "invariant", DATA["z2.json"], "--genus", str(genus))
+        assert sys.get_int_max_str_digits() == limit  # lifted for printing only
+        assert (code, out, err) == (0, decimal(2**genus) + "\n", ""), genus
+
+
+def test_invariant_over_the_entry_budget_is_exit_2(capsys):
+    code, out, err = run(capsys, "invariant", DATA["z2.json"], "--genus", "1000000000")
+    assert_one_error_line(code, out, err)
+    assert err == ("error: squaring a 2x2 matrix with 262145-bit entries "
+                   "would pass the entry budget of 524288 bits\n")
 
 
 def test_naturality_witness_prints_past_the_digit_limit(capsys, tmp_path):
@@ -371,3 +385,14 @@ def test_exit_codes_confined(capsys, tmp_path):
     for argv in runs:
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1, 2), argv
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_resources():
+    # -S: no site start-up, which loads some of these modules on its own
+    src = Path(frob2d.__file__).parents[1]
+    probe = ("import sys, frob2d.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Algebra axioms, morphism diagrams, tensor products, and the theta search."""
 
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -465,7 +464,7 @@ STRUCTURE = ("mult", "unit", "counit", "comult")
 def test_frobenius_checks_match_dense_reference_under_bumps(algebra):
     rng = random.Random(algebra.name)
     cases = [algebra] + [
-        dataclasses.replace(algebra, **{name: bump(getattr(algebra, name), rng)})
+        algebra.replace(**{name: bump(getattr(algebra, name), rng)})
         for name in STRUCTURE * (1 if algebra.dim == 16 else 3)
     ]
     assert dense_check_frobenius(algebra).passed
@@ -480,13 +479,11 @@ def test_extended_checks_match_dense_reference_under_bumps(algebra):
     cases = [algebra]
     for _ in range(1 if algebra.dim == 16 else 3):
         cases += [
-            dataclasses.replace(
-                algebra, base=dataclasses.replace(base, **{name: bump(getattr(base, name), rng)})
-            )
+            algebra.replace(base=base.replace(**{name: bump(getattr(base, name), rng)}))
             for name in STRUCTURE
         ]
         cases += [
-            dataclasses.replace(algebra, **{name: bump(getattr(algebra, name), rng)})
+            algebra.replace(**{name: bump(getattr(algebra, name), rng)})
             for name in ("involution", "point")
         ]
     assert dense_check_extended(algebra).passed
@@ -542,7 +539,7 @@ def test_tensor_builds_no_padded_layer():
     a, b = tensor(z2, kxk), tensor(dn, kxk)
     product, peak = traced_peak(lambda: tensor(a, b))
     # the same structure matrices as (((Z2 * KxK) * D) * KxK); only the labels nest differently
-    assert dataclasses.replace(product, basis=PLAIN[-1].basis) == PLAIN[-1]
+    assert product.replace(basis=PLAIN[-1].basis) == PLAIN[-1]
     assert peak < NO_PADDED_LAYER
 
 
@@ -608,8 +605,7 @@ def test_search_theta_kxk_cubed_identity_involution_matches_brute_force():
 def in_basis(algebra, b):
     """The same algebra written in the basis given by the columns of ``b``."""
     inv = inverse(b)
-    return dataclasses.replace(
-        algebra,
+    return algebra.replace(
         mult=compose(inv, algebra.mult, kron(b, b)),
         unit=compose(inv, algebra.unit),
         counit=compose(algebra.counit, b),
@@ -632,7 +628,7 @@ def test_search_theta_matches_brute_force_in_other_bases_and_under_bumps():
                           for i in range(n) for j in range(n)])
         moved = in_basis(algebra, b)
         cases = [moved] + [
-            dataclasses.replace(moved, **{name: bump(getattr(moved, name), rng)})
+            moved.replace(**{name: bump(getattr(moved, name), rng)})
             for name in STRUCTURE
         ]
         for case in cases:

@@ -1,11 +1,15 @@
 """Exact matrix layer: frozen examples, shape errors, and algebraic laws."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frob2d.cobordism import CobordismWord, Generator, WordError
+from frob2d.examples import dual_numbers, group_algebra_z2, group_algebra_z2_extended
 from frob2d.linalg import (
     MAX_CELLS,
     BudgetError,
@@ -24,7 +28,7 @@ from frob2d.linalg import (
     kron,
     layer_product,
 )
-from frob2d.report import compare, compare_nonzeros
+from frob2d.report import AxiomReport, CheckResult, Witness, compare, compare_nonzeros
 
 scalars = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -373,3 +377,54 @@ def test_braiding_is_permutation(a, b):
 @settings(max_examples=20, deadline=None)
 def test_interleaver_is_permutation(n, a, b):
     assert is_permutation_matrix(interleaver(n, a, b))
+
+
+# -- Record: the value semantics of reports, words, algebras and morphisms ------
+
+
+def test_records_compare_hash_and_print_field_by_field():
+    a, b = group_algebra_z2(), group_algebra_z2()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != dual_numbers() and len({a, b, dual_numbers()}) == 2
+    assert CheckResult("x", True) == CheckResult("x", True, None) != CheckResult("y", True)
+    assert Witness(0, 1, 2, 3) != (0, 1, 2, 3)
+
+    class Subclass(Witness):
+        __slots__ = ()
+
+    assert Subclass(0, 1, 2, 3) != Witness(0, 1, 2, 3)
+    assert repr(Subclass(0, 1, 2, 3)).endswith("Subclass(row=0, col=1, lhs=2, rhs=3)")
+    assert repr(Witness(0, 1, Fraction(1, 2), 3)) == (
+        "Witness(row=0, col=1, lhs=Fraction(1, 2), rhs=3)"
+    )
+    assert repr(AxiomReport((CheckResult("x", True),))) == (
+        "AxiomReport(checks=(CheckResult(name='x', passed=True, witness=None),))"
+    )
+
+
+def test_records_refuse_assignment_and_survive_copy_and_pickle():
+    word = CobordismWord("oriented", ((Generator.CUP,), (Generator.CAP,)))
+    for value, field in ((group_algebra_z2_extended(), "point"), (Witness(0, 0, 1, 2), "row"),
+                         (word, "slices")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+
+
+def test_record_replace_checks_the_new_value():
+    z2 = group_algebra_z2()
+    renamed = z2.replace(name="Z2'", basis=["e", "x"])
+    assert (renamed.name, renamed.basis, z2.name) == ("Z2'", ("e", "x"), "Z2")
+    assert renamed.mult is z2.mult
+    with pytest.raises(ShapeError, match="mult must be 2x4, got 2x2"):
+        z2.replace(mult=identity(2))
+    with pytest.raises(TypeError):
+        z2.replace(colour="red")
+    with pytest.raises(ShapeError, match="point must be 2x1"):
+        group_algebra_z2_extended().replace(point=identity(2))
+    with pytest.raises(WordError):
+        CobordismWord("oriented", ()).replace(orientation="sideways")

@@ -1,6 +1,8 @@
 """Evaluation functor: invariants, naturality, monoidality, multiplicativity."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +25,13 @@ from frob2d.examples import (
     split_pair,
     split_pair_extended,
 )
-from frob2d.frobenius import FrobeniusMorphism, tensor, tensor_extended
+from frob2d.frobenius import (
+    FrobeniusMorphism,
+    check_extended,
+    check_frobenius,
+    tensor,
+    tensor_extended,
+)
 from frob2d.linalg import BudgetError, Matrix, identity
 from frob2d.tqft import (
     ExtendedRequiredError,
@@ -34,6 +42,7 @@ from frob2d.tqft import (
     invariant,
     naturality_dictionary,
     random_words,
+    surface_invariant,
 )
 
 import oracles
@@ -382,3 +391,78 @@ def test_random_words_respect_strand_bound():
         for s in w.slices:
             strands = sum(g.arity_out for g in s)
             assert strands <= 4
+
+
+# -- surface_invariant: matrix powers against the word route -------------------
+
+PLAIN_PAIRS = [tensor(a, b) for a, b in itertools.combinations_with_replacement(plain_battery(), 2)]
+EXTENDED_PAIRS = [
+    tensor_extended(a, b)
+    for a, b in itertools.combinations_with_replacement(extended_battery(), 2)
+]
+ALL_PLAIN = list(plain_battery()) + PLAIN_PAIRS
+ALL_EXTENDED = list(extended_battery()) + EXTENDED_PAIRS
+
+
+def assert_surfaces_match(algebra):
+    """surface_invariant equals the invariant of the word, oriented and (if extended) not."""
+    for g in range(11):
+        assert surface_invariant(algebra, g) == invariant(closed_oriented_surface(g), algebra)
+    if hasattr(algebra, "point"):
+        for k, g in itertools.product(range(1, 7), range(5)):
+            assert surface_invariant(algebra, g, k) == (
+                invariant(closed_unoriented_surface(k, g), algebra)
+            ), (k, g)
+
+
+@pytest.mark.parametrize("algebra", ALL_PLAIN + ALL_EXTENDED, ids=lambda a: a.name)
+def test_surface_invariant_matches_the_word(algebra):
+    assert_surfaces_match(algebra)
+
+
+def bumped(matrix, rng):
+    entries = list(matrix.entries)
+    entries[rng.randrange(len(entries))] += rng.choice([1, -1, 2, Fraction(1, 2)])
+    return Matrix(matrix.rows, matrix.cols, entries)
+
+
+def test_surface_invariant_matches_the_word_on_algebras_failing_their_axioms():
+    rng = random.Random(6)
+    failing = 0
+    for algebra in ALL_PLAIN + ALL_EXTENDED:
+        base = getattr(algebra, "base", algebra)
+        cases = [algebra.replace(**{name: bumped(getattr(algebra, name), rng)})
+                 for name in ("involution", "point") if hasattr(algebra, "point")]
+        for name in ("mult", "unit", "counit", "comult"):
+            case = base.replace(**{name: bumped(getattr(base, name), rng)})
+            cases.append(algebra.replace(base=case) if base is not algebra else case)
+        for case in cases:
+            assert_surfaces_match(case)
+            extended = hasattr(case, "point")
+            failing += not (check_frobenius(case).passed
+                            and (not extended or check_extended(case).passed))
+    assert failing > 100
+
+
+def test_surface_invariant_at_high_genus():
+    assert surface_invariant(group_algebra_z2(), 100000) == 2**100000
+    # the Z2 factor doubles per handle; the D factor is 0 from genus 2 on
+    assert surface_invariant(tensor(group_algebra_z2(), dual_numbers()), 100000) == 0
+
+
+def test_surface_invariant_refuses_answers_past_the_entry_budget():
+    with pytest.raises(BudgetError, match="entry budget"):
+        surface_invariant(group_algebra_z2(), 10**9)
+    with pytest.raises(BudgetError, match="entry budget"):
+        surface_invariant(ground_field_extended(2), 0, 10**9)
+    # on KxK the cross-cap operator squares to the identity, so no entry grows
+    assert surface_invariant(split_pair_extended(), 0, 10**9) == 2
+
+
+def test_surface_invariant_rejects_bad_counts():
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        surface_invariant(group_algebra_z2(), -1)
+    with pytest.raises(ValueError, match="crosscaps must be >= 0"):
+        surface_invariant(group_algebra_z2_extended(), 0, -1)
+    with pytest.raises(ExtendedRequiredError):
+        surface_invariant(group_algebra_z2(), 0, 1)
