@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from pathlib import Path
 
-from .linalg import Record
+from .linalg import MAX_CELLS, BudgetError, Record
 
 
 class Generator(Enum):
@@ -152,23 +152,32 @@ def identity_word(circles: int, orientation: str = "oriented") -> CobordismWord:
     return CobordismWord(orientation, slices)
 
 
+def _check_slice_count(count: int) -> None:
+    """Refuse a surface word of more than MAX_CELLS slices before building it."""
+    if count > MAX_CELLS:
+        raise BudgetError(f"a closed surface word would have more than {MAX_CELLS} slices; "
+                          "tqft.surface_invariant needs no word")
+
+
 def closed_oriented_surface(genus: int) -> CobordismWord:
-    """Closed oriented surface: a birth, then genus handles, then a death."""
+    """Closed oriented surface: a birth, then genus handles, then a death.
+
+    Raises BudgetError, before building, past ``MAX_CELLS`` slices.
+    """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
-    slices = [(Generator.CUP,)]
-    for _ in range(genus):
-        slices.append((Generator.COMULT,))
-        slices.append((Generator.MULT,))
-    slices.append((Generator.CAP,))
-    return CobordismWord("oriented", tuple(slices))
+    _check_slice_count(2 * genus + 2)
+    # each kind of slice is one tuple shared by all its repeats: a pointer per slice
+    handles = ((Generator.COMULT,), (Generator.MULT,)) * genus
+    return CobordismWord("oriented", ((Generator.CUP,), *handles, (Generator.CAP,)))
 
 
 def closed_unoriented_surface(crosscaps: int, handles: int = 0) -> CobordismWord:
     """Closed unoriented surface with the given cross-cap and handle counts.
 
     Cross-caps attach left-to-right, each new theta feeding the left input
-    of the merge.
+    of the merge.  Raises BudgetError past ``MAX_CELLS`` slices, as
+    ``closed_oriented_surface`` does.
     """
     if crosscaps < 1:
         raise ValueError(
@@ -176,15 +185,10 @@ def closed_unoriented_surface(crosscaps: int, handles: int = 0) -> CobordismWord
         )
     if handles < 0:
         raise ValueError(f"handles must be >= 0, got {handles}")
-    slices = [(Generator.THETA,)]
-    for _ in range(crosscaps - 1):
-        slices.append((Generator.THETA, Generator.ID))
-        slices.append((Generator.MULT,))
-    for _ in range(handles):
-        slices.append((Generator.COMULT,))
-        slices.append((Generator.MULT,))
-    slices.append((Generator.CAP,))
-    return CobordismWord("unoriented", tuple(slices))
+    _check_slice_count(2 * crosscaps + 2 * handles)
+    caps = ((Generator.THETA, Generator.ID), (Generator.MULT,)) * (crosscaps - 1)
+    tubes = ((Generator.COMULT,), (Generator.MULT,)) * handles
+    return CobordismWord("unoriented", ((Generator.THETA,), *caps, *tubes, (Generator.CAP,)))
 
 
 def serialize_word(word: CobordismWord) -> str:

@@ -23,7 +23,8 @@ commutativity and cocommutativity permute the nonzeros of ``mult`` and
 matrix or dense side larger than the inputs is built, so the cost follows
 the nonzeros: tensor products are almost all zeros.  ``tensor``'s
 multiplication and ``derive_comult`` are single ``linalg.compose_layers``
-products, with no padded layer either.
+products, with no padded layer either.  Every morphism diagram is a
+``naturality_square``, the one place a map is padded onto strands.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ import itertools
 from typing import Union
 
 from .linalg import (
+    MAX_CELLS,
+    BudgetError,
     Matrix,
     Record,
     ShapeError,
     SingularMatrixError,
     apply,
-    as_rational,
     braiding,
     compose,
     compose_layers,
@@ -108,30 +110,24 @@ class FrobeniusAlgebra(Record):
         """
         basis = tuple(basis)
         n = len(basis)
-        mult_m = _cube_matrix("mult", n, mult, n, n * n, lambda i, j, k: (k, i * n + j))
+        r = range(n)
+        _check_cube("mult", n, mult)
+        mult_m = Matrix(n, n * n, [mult[i][j][k] for k in r for i in r for j in r])
         unit_m = _vector_matrix("unit", n, unit, column=True)
         counit_m = _vector_matrix("counit", n, counit, column=False)
         if comult is not None:
-            comult_m = _cube_matrix(
-                "comult", n, comult, n * n, n, lambda i, j, k: (j * n + k, i)
-            )
+            _check_cube("comult", n, comult)
+            comult_m = Matrix(n * n, n, [comult[i][j][k] for j in r for k in r for i in r])
         else:
             comult_m = derive_comult(mult_m, unit_m, counit_m)
         return cls(name, basis, mult_m, unit_m, counit_m, comult_m)
 
 
-def _cube_matrix(what, n, table, rows, cols, placement) -> Matrix:
+def _check_cube(what, n, table) -> None:
     if len(table) != n or any(len(plane) != n for plane in table) or any(
         len(line) != n for plane in table for line in plane
     ):
         raise ValueError(f"{what} table must be {n}x{n}x{n}")
-    cells = [0] * (rows * cols)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r, c = placement(i, j, k)
-                cells[r * cols + c] = as_rational(table[i][j][k])
-    return Matrix(rows, cols, cells)
 
 
 def _vector_matrix(what, n, values, column: bool) -> Matrix:
@@ -250,21 +246,31 @@ def _sparse(m: Matrix) -> tuple:
     return m.rows, m.cols, dict(m.nonzeros())
 
 
+def naturality_square(f: Matrix, source_map: Matrix, target_map: Matrix,
+                      arity_in: int, arity_out: int) -> tuple[Matrix, Matrix]:
+    """The sides ``(f^(x)out . source_map, target_map . f^(x)in)`` of a naturality square.
+
+    f acts one strand at a time, by ``apply`` on the outputs of
+    ``source_map`` and ``compose_layers`` on the inputs of ``target_map``.
+    """
+    left = source_map
+    for k in range(arity_out):
+        left = apply(f, left, f.rows**k, f.cols ** (arity_out - 1 - k))
+    right = target_map
+    for k in reversed(range(arity_in)):
+        right = compose_layers(right, _NO_PAD, f, (f.rows**k, f.cols ** (arity_in - 1 - k)))
+    return left, right
+
+
 def check_morphism(f: FrobeniusMorphism) -> AxiomReport:
-    """The four structure-preservation diagrams of a Frobenius morphism."""
-    a = as_plain(f.source)
-    b = as_plain(f.target)
-    g, s, t = f.matrix, a.dim, b.dim
-    # g (x) g = (g (x) id_t) . (id_s (x) g) = (id_t (x) g) . (g (x) id_s)
-    mult_gg = compose_layers(compose_layers(b.mult, _NO_PAD, g, (1, t)), _NO_PAD, g, (s, 1))
-    gg_comult = apply(g, apply(g, a.comult, 1, s), t, 1)
-    checks = (
-        compare("unit", compose(g, a.unit), b.unit),
-        compare("mult", compose(g, a.mult), mult_gg),
-        compare("counit", compose(b.counit, g), a.counit),
-        compare("comult", compose(b.comult, g), gg_comult),
-    )
-    return AxiomReport(checks)
+    """The unit, mult, counit and comult squares; counit and comult list their right side first."""
+    a, b, g = as_plain(f.source), as_plain(f.target), f.matrix
+    return AxiomReport((
+        compare("unit", *naturality_square(g, a.unit, b.unit, 0, 1)),
+        compare("mult", *naturality_square(g, a.mult, b.mult, 2, 1)),
+        compare("counit", *reversed(naturality_square(g, a.counit, b.counit, 1, 0))),
+        compare("comult", *reversed(naturality_square(g, a.comult, b.comult, 1, 2))),
+    ))
 
 
 def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
@@ -335,17 +341,12 @@ def _theta_conditions(base: FrobeniusAlgebra, phi: Matrix) -> tuple[list, list]:
 
 def check_extended_morphism(f: FrobeniusMorphism) -> AxiomReport:
     """Frobenius-morphism diagrams plus point and involution compatibility."""
-    if not isinstance(f.source, ExtendedFrobeniusAlgebra) or not isinstance(
-        f.target, ExtendedFrobeniusAlgebra
-    ):
+    g, source, target = f.matrix, f.source, f.target
+    if not all(isinstance(x, ExtendedFrobeniusAlgebra) for x in (source, target)):
         raise TypeError("extended morphism checks need extended source and target")
     checks = check_morphism(f).checks + (
-        compare("theta", compose(f.matrix, f.source.point), f.target.point),
-        compare(
-            "phi",
-            compose(f.matrix, f.source.involution),
-            compose(f.target.involution, f.matrix),
-        ),
+        compare("theta", *naturality_square(g, source.point, target.point, 0, 1)),
+        compare("phi", *naturality_square(g, source.involution, target.involution, 1, 1)),
     )
     return AxiomReport(checks)
 
@@ -395,7 +396,8 @@ def search_theta(algebra: FrobeniusAlgebra, involution: Matrix, bound: int) -> l
     grid point is tested with plain int and Fraction arithmetic, the linear
     rows first and stopping at the first that fails, and a ``Matrix`` is
     built only for a hit.  The search is grid-relative: an empty result only
-    rules out integer points within the bound.
+    rules out integer points within the bound.  A grid of more than
+    ``MAX_CELLS`` points raises BudgetError before the first point is tried.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -403,6 +405,9 @@ def search_theta(algebra: FrobeniusAlgebra, involution: Matrix, bound: int) -> l
     _expect_shape("involution", involution, n, n)
     if not all(c.passed for c in _phi_checks(algebra, involution)):
         return []
+    if (2 * bound + 1) ** n > MAX_CELLS:
+        raise BudgetError(f"a theta grid with bound {bound} on {n} coordinates "
+                          f"has more than {MAX_CELLS} points")
     linear, quadratic = _theta_conditions(algebra, involution)
     hits = []
     for p in itertools.product(range(-bound, bound + 1), repeat=n):

@@ -416,15 +416,3 @@ def inverse(m: Matrix) -> Matrix:
             result[r] = [x - factor * y for x, y in zip(result[r], result[col])]
     return Matrix(n, n, [x for row in result for x in row])
 
-
-def is_permutation_matrix(m: Matrix) -> bool:
-    """True when m is square with exactly one 1 per row and column, 0 elsewhere."""
-    if m.rows != m.cols:
-        return False
-    seen_cols = set()
-    for i in range(m.rows):
-        ones = [j for j, x in enumerate(m.row(i)) if x == 1]
-        if len(ones) != 1 or any(x not in (0, 1) for x in m.row(i)):
-            return False
-        seen_cols.add(ones[0])
-    return len(seen_cols) == m.rows

@@ -15,12 +15,12 @@ is ``counit . (mult . comult)^g . L^(k-1) . theta`` with
 squaring.  Matrix products are exact and associative, so the value equals
 ``invariant`` of the word for every algebra, whether or not it passes its
 axioms.  The squarings are bounded by ``linalg.MAX_ENTRY_BITS``.
+Naturality compares the sides of ``frobenius.naturality_square``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Union
 
 from .cobordism import (
     UNORIENTED_ONLY,
@@ -32,9 +32,9 @@ from .cobordism import (
 from .frobenius import (
     AnyAlgebra,
     ExtendedFrobeniusAlgebra,
-    FrobeniusAlgebra,
     FrobeniusMorphism,
     as_plain,
+    naturality_square,
     tensor,
     tensor_extended,
 )
@@ -71,6 +71,8 @@ _STRUCTURE = {
 
 def _generator_matrix(generator: Generator, algebra: AnyAlgebra) -> Matrix:
     base = as_plain(algebra)
+    if generator is Generator.ID:
+        return identity(base.dim)
     if generator is Generator.SWAP:
         return braiding(base.dim, base.dim)
     if generator not in UNORIENTED_ONLY:
@@ -150,43 +152,31 @@ def _power(m: Matrix, exponent: int, state: Matrix) -> Matrix:
     return state
 
 
-def check_naturality(
-    morphism: FrobeniusMorphism, word: CobordismWord, check_name: str = "naturality"
-) -> AxiomReport:
-    """Exact naturality square of a linear map against one word."""
+def check_naturality(morphism: FrobeniusMorphism, word: CobordismWord) -> AxiomReport:
+    """Exact naturality square of a linear map against one word (see ``naturality_square``)."""
     source, target = validate_word(word)
-    f = morphism.matrix
-    lhs = _on_every_strand(f, evaluate(word, morphism.source), target)
-    f_source = _on_every_strand(f, identity(f.cols**source), source)
-    rhs = compose(evaluate(word, morphism.target), f_source)
-    return AxiomReport((compare(check_name, lhs, rhs),))
-
-
-def _on_every_strand(f: Matrix, state: Matrix, strands: int) -> Matrix:
-    """``f^(x)strands . state``, applying f one strand at a time from the left."""
-    for k in range(strands):
-        state = apply(f, state, f.rows**k, f.cols ** (strands - 1 - k))
-    return state
+    src, tgt = evaluate(word, morphism.source), evaluate(word, morphism.target)
+    sides = naturality_square(morphism.matrix, src, tgt, source, target)
+    return AxiomReport((compare("naturality", *sides),))
 
 
 def naturality_dictionary(morphism: FrobeniusMorphism) -> AxiomReport:
-    """Naturality against every single-generator word, one named check each.
+    """The naturality square against each generator's matrix on both ends, one named check each.
 
-    The named checks match the morphism diagrams one-for-one: cup with the
-    unit diagram, cap with the counit, mult and comult with theirs, and
+    The checks match the morphism diagrams one-for-one: cup with the unit
+    diagram, cap with the counit, mult and comult with theirs, and
     phi/theta (present only when both ends are extended) with involution
     and point compatibility.  id and swap hold for every linear map.
     """
-    extended = isinstance(morphism.source, ExtendedFrobeniusAlgebra) and isinstance(
-        morphism.target, ExtendedFrobeniusAlgebra
-    )
-    generators = [g for g in Generator if extended or g not in UNORIENTED_ONLY]
-    checks = []
-    for g in generators:
-        orientation = "unoriented" if g in UNORIENTED_ONLY else "oriented"
-        word = CobordismWord(orientation, ((g,),))
-        checks.append(check_naturality(morphism, word, check_name=g.label).checks[0])
-    return AxiomReport(tuple(checks))
+    f, a, b = morphism.matrix, morphism.source, morphism.target
+    extended = isinstance(a, ExtendedFrobeniusAlgebra) and isinstance(b, ExtendedFrobeniusAlgebra)
+    return AxiomReport(tuple(
+        compare(g.label, *naturality_square(
+            f, _generator_matrix(g, a), _generator_matrix(g, b), g.arity_in, g.arity_out
+        ))
+        for g in Generator
+        if extended or g not in UNORIENTED_ONLY
+    ))
 
 
 def _tensor_algebras(a: AnyAlgebra, b: AnyAlgebra) -> AnyAlgebra:

