@@ -60,7 +60,6 @@ from .linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
-    apply,
     as_rational,
     braiding,
     compose,

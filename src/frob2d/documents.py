@@ -17,8 +17,9 @@ An algebra document holds structure-constant tables::
 ``comult[i][j][k]`` the coefficient of ``e_j (x) e_k`` in the image of
 ``e_i``, and ``phi[i][j]`` the coefficient of ``e_j`` in the image of
 ``e_i``.  ``comult`` and ``extended`` are optional; a missing ``comult``
-is derived from the pairing.  Scalars are integers or "p/q" strings with
-positive q; floats are rejected.
+is derived from the pairing.  Scalars are integers, or strings "p" or
+"p/q" with positive q written in ASCII digits; floats, decimals, exponents,
+underscores and padded strings are rejected.
 
 A morphism document is ``{"source": NAME, "target": NAME, "map": TABLE}``
 where ``map`` is laid out target-by-source (``map[t][s]`` is the matrix
@@ -64,13 +65,15 @@ def _scalar(value, where: str):
 
 
 def _field(data: dict, name: str):
-    if name not in data:
+    """data's entry under the last dotted part of name; errors name it in full."""
+    key = name.rpartition(".")[2]
+    if key not in data:
         raise DocumentError(f"missing field '{name}'")
-    return data[name]
+    return data[key]
 
 
 def _vector(data, name: str, n: int) -> list:
-    value = _field(data, name) if isinstance(data, dict) else data
+    value = _field(data, name)
     if not isinstance(value, list) or len(value) != n:
         raise DocumentError(f"field '{name}': expected a list of {n} rationals")
     return [_scalar(x, f"{name}[{i}]") for i, x in enumerate(value)]
@@ -123,10 +126,8 @@ def parse_algebra(data) -> AnyAlgebra:
     block = data["extended"]
     if not isinstance(block, dict):
         raise DocumentError("field 'extended': expected an object with 'phi' and 'theta'")
-    phi_table = _table(_field(block, "phi"), "extended.phi", dim, dim)
-    theta = _vector(block, "theta", dim) if "theta" in block else None
-    if theta is None:
-        raise DocumentError("missing field 'extended.theta'")
+    phi_table = _table(_field(block, "extended.phi"), "extended.phi", dim, dim)
+    theta = _vector(block, "extended.theta", dim)
     # phi[i][j] is input-major; the matrix wants row = output component.
     phi_cells = [phi_table[i][j] for j in range(dim) for i in range(dim)]
     return ExtendedFrobeniusAlgebra(

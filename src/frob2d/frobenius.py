@@ -21,10 +21,11 @@ commutativity and cocommutativity permute the nonzeros of ``mult`` and
 ``comult``, and ``report.compare_nonzeros`` finds the same first witness
 ``compare`` would find on the dense sides.  No padded layer, braiding
 matrix or dense side larger than the inputs is built, so the cost follows
-the nonzeros: tensor products are almost all zeros.  ``tensor``'s
-multiplication and ``derive_comult`` are single ``linalg.compose_layers``
-products, with no padded layer either.  Every morphism diagram is a
-``naturality_square``, the one place a map is padded onto strands.
+the nonzeros: tensor products are almost all zeros.  Every other map
+that acts on chosen strands goes through ``linalg.compose_layers``, the
+dense form of the same product, with no padded layer either: ``tensor``'s
+multiplication and comultiplication, ``derive_comult``, the crosscap side
+and both sides of ``naturality_square``, which every morphism diagram is.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
     Record,
     ShapeError,
     SingularMatrixError,
-    apply,
     braiding,
     compose,
     compose_layers,
@@ -250,12 +250,13 @@ def naturality_square(f: Matrix, source_map: Matrix, target_map: Matrix,
                       arity_in: int, arity_out: int) -> tuple[Matrix, Matrix]:
     """The sides ``(f^(x)out . source_map, target_map . f^(x)in)`` of a naturality square.
 
-    f acts one strand at a time, by ``apply`` on the outputs of
-    ``source_map`` and ``compose_layers`` on the inputs of ``target_map``.
+    f acts one strand at a time through ``compose_layers``, as the left
+    factor on the outputs of ``source_map`` and as the right factor on the
+    inputs of ``target_map``.
     """
     left = source_map
     for k in range(arity_out):
-        left = apply(f, left, f.rows**k, f.cols ** (arity_out - 1 - k))
+        left = compose_layers(f, (f.rows**k, f.cols ** (arity_out - 1 - k)), left, _NO_PAD)
     right = target_map
     for k in reversed(range(arity_in)):
         right = compose_layers(right, _NO_PAD, f, (f.rows**k, f.cols ** (arity_in - 1 - k)))
@@ -308,7 +309,8 @@ def _phi_checks(base: FrobeniusAlgebra, phi: Matrix) -> tuple[CheckResult, ...]:
 
 def _crosscap_rhs(base: FrobeniusAlgebra, phi: Matrix) -> Matrix:
     """``mult . (phi (x) id) . comult . unit``, the side of crosscap free of theta."""
-    return compose(base.mult, apply(phi, compose(base.comult, base.unit), 1, base.dim))
+    copairing = compose(base.comult, base.unit)
+    return compose(base.mult, compose_layers(phi, (1, base.dim), copairing, _NO_PAD))
 
 
 def _theta_conditions(base: FrobeniusAlgebra, phi: Matrix) -> tuple[list, list]:
@@ -366,7 +368,7 @@ def tensor(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
         mult=compose_layers(kron(a.mult, b.mult), _NO_PAD, braiding(nb, na), (na, nb)),
         unit=kron(a.unit, b.unit),
         counit=kron(a.counit, b.counit),
-        comult=apply(braiding(na, nb), kron(a.comult, b.comult), na, nb),
+        comult=compose_layers(braiding(na, nb), (na, nb), kron(a.comult, b.comult), _NO_PAD),
     )
 
 

@@ -12,15 +12,16 @@ package:
 
   so the basis vector ``e_i (x) e_j`` of a tensor-product space sits at
   flat index ``i * dim_right + j``.
-* ``apply(f, state, left, right)`` is ``kron(identity(left), f,
-  identity(right)) . state``: ``f`` acts on chosen strands of a state
-  whose other strands pass through, and no padded layer is built.
-* ``layer_product(f, f_pad, g, g_pad)`` multiplies two such padded
-  layers from the nonzeros of ``f`` and ``g`` alone and returns the
-  product's own nonzeros as ``(rows, cols, {flat index: entry})``, so a
-  sparse product is never laid out densely; ``compose_layers`` is the
-  same product as a dense ``Matrix``.  ``Matrix.nonzeros()`` lists (and
-  remembers) a matrix's nonzero entries for these loops.
+* ``layer_product(f, f_pad, g, g_pad)`` multiplies two padded layers
+  ``kron(identity(l), f, identity(r))`` from the nonzeros of ``f`` and
+  ``g`` alone and returns the product's own nonzeros as ``(rows, cols,
+  {flat index: entry})``, so no padded layer is built and a sparse
+  product is never laid out densely; ``compose_layers`` is the same
+  product as a dense ``Matrix``.  It is the package's one way to act on
+  chosen strands: ``compose_layers(f, (l, r), state, (1, 1))`` applies
+  ``f`` to the middle strands of ``state`` while the others pass
+  through.  ``Matrix.nonzeros()`` lists (and remembers) a matrix's
+  nonzero entries for these loops.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
   ``MAX_ENTRY_BITS`` bounds the entries that repeated squaring may build
@@ -36,6 +37,7 @@ package:
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -76,11 +78,18 @@ class SingularMatrixError(ValueError):
     """A square matrix with no inverse."""
 
 
+# An integer or "p/q" with q > 0, in ASCII digits: no decimal point, exponent,
+# underscore or surrounding space (an exponent would expand to its full integer).
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def as_rational(value) -> Rational:
-    """Coerce ints, Fractions and "p/q" strings to an exact rational.
+    """Coerce ints, Fractions and integer or "p/q" strings to an exact rational.
 
     Integral values come back as plain ints.  Floats are rejected: binary
-    floating point would silently break exactness.
+    floating point would silently break exactness.  A string of another
+    form, or past the int-conversion digit limit, raises ValueError; q = 0
+    raises ZeroDivisionError.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational scalars")
@@ -89,7 +98,11 @@ def as_rational(value) -> Rational:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        return as_rational(Fraction(value))
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match is None:
+            raise ValueError(f"not an integer or \"p/q\" string: {value!r}")
+        p, q = match.groups()
+        return as_rational(Fraction(int(p), int(q or 1)))
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 
@@ -277,29 +290,6 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     return Matrix._raw(rows, cols, tuple(out))
 
 
-def apply(f: Matrix, state: Matrix, left: int, right: int) -> Matrix:
-    """``kron(identity(left), f, identity(right)) . state`` without building that layer.
-
-    The rows of ``state`` are grouped (left, f.cols, right), left major, and
-    ``f`` acts on the middle group only: nnz(f) * state cells / f.cols steps.
-    """
-    if left * f.cols * right != state.rows:
-        raise ShapeError(f"cannot apply {left}|{f.cols}|{right} to {state.rows} rows")
-    block = right * state.cols  # cells of one middle index within a left group
-    nonzeros = [(k // f.cols * block, k % f.cols * block, a) for k, a in enumerate(f.entries) if a]
-    src = state.entries
-    out = [0] * _cells(left * f.rows * right, state.cols)
-    for group in range(left):
-        ibase = group * f.cols * block
-        obase = group * f.rows * block
-        for o, s, a in nonzeros:
-            o += obase
-            s += ibase
-            pairs = zip(out[o : o + block], src[s : s + block])
-            out[o : o + block] = [x + a * y if y else x for x, y in pairs]
-    return Matrix._raw(left * f.rows * right, state.cols, tuple(out))
-
-
 def _layer_shape(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> tuple:
     """The shape of the product of two padded layers, or ShapeError if they do not meet."""
     (fl, fr), (gl, gr) = f_pad, g_pad
@@ -325,7 +315,9 @@ def layer_product(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> tuple:
     for k, a in f.nonzeros():
         f_column[k % f.cols].append((k // f.cols, a))
     out = {}
-    for k, b in g.nonzeros():
+    # a memo is reused, but a state read once is scanned without storing one
+    g_nonzeros = g._nonzeros or ((k, b) for k, b in enumerate(g.entries) if b)
+    for k, b in g_nonzeros:
         y, x = divmod(k, g.cols)
         for left in range(gl):
             for right in range(gr):

@@ -3,7 +3,9 @@
 A word on an algebra of dimension n becomes a matrix between tensor
 powers of the underlying space.  Evaluation starts from the identity on
 the n**source basis columns and applies each non-id generator to its own
-strands only (``linalg.apply``), so no identity-padded layer is built.
+strands only (``linalg.compose_layers`` with the state as the right
+factor), so no identity-padded layer is built.  The state stays a dense
+``Matrix`` between slices.
 Closed words evaluate to 1x1 matrices whose single entry is the surface
 invariant.
 
@@ -43,7 +45,6 @@ from .linalg import (
     BudgetError,
     Matrix,
     Rational,
-    apply,
     braiding,
     compose,
     compose_layers,
@@ -96,7 +97,8 @@ def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
         for generator in slice_:
             right //= n**generator.arity_in
             if generator is not Generator.ID:
-                state = apply(_generator_matrix(generator, algebra), state, left, right)
+                f = _generator_matrix(generator, algebra)
+                state = compose_layers(f, (left, right), state, (1, 1))
             left *= n**generator.arity_out
     return state
 

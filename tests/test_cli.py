@@ -291,6 +291,50 @@ def assert_one_error_line(code, out, err):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def write_z2_ext(tmp_path, change):
+    doc = json.loads(open(DATA["z2_ext.json"]).read())
+    change(doc)
+    path = tmp_path / "z2_ext.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_integer_and_p_over_q_strings_load(capsys, tmp_path):
+    def as_strings(doc):
+        doc["unit"] = ["+1", "0/5"]
+        doc["counit"] = ["2/2", "-0"]
+        doc["extended"]["phi"] = [["1", "0"], ["0", "-3/3"]]
+    code, out, err = run(capsys, "check", "--extended", write_z2_ext(tmp_path, as_strings))
+    assert (code, out, err) == (0, EXTENDED_PASS, "")
+
+
+# an exponent would expand to its full integer while loading ("1e10000000" has
+# 33 million bits) and get round the digit limit on JSON integers
+@pytest.mark.parametrize("text", [
+    "1.5", "1e4301", "2E3", "1_000", " 1", "1/2 ", "1/-2", "1/0", "0x10", "\u0661", "",
+])
+def test_other_scalar_strings_are_exit_2(capsys, tmp_path, text):
+    path = write_z2_ext(tmp_path, lambda doc: doc.__setitem__("unit", [text, 0]))
+    expect = f"error: field 'unit[0]': not a rational: {text!r}\n"
+    assert run(capsys, "check", path) == (2, "", expect)
+
+
+@pytest.mark.parametrize("change, line", [
+    (lambda block: block.pop("phi"), "missing field 'extended.phi'"),
+    (lambda block: block.pop("theta"), "missing field 'extended.theta'"),
+    (lambda block: block.update(phi=[[1, 0]]), "field 'extended.phi': expected a 2x2 table"),
+    (lambda block: block.update(theta=[0]),
+     "field 'extended.theta': expected a list of 2 rationals"),
+    (lambda block: block.update(theta=[0, "x"]),
+     "field 'extended.theta[1]': not a rational: 'x'"),
+    (lambda block: block.update(phi=[[1, 0], [0, 0.5]]),
+     "field 'extended.phi[1][1]': floats are not exact, use integers or \"p/q\""),
+])
+def test_extended_block_errors_name_the_full_field(capsys, tmp_path, change, line):
+    path = write_z2_ext(tmp_path, lambda doc: change(doc["extended"]))
+    assert run(capsys, "check", "--extended", path) == (2, "", f"error: {line}\n")
+
+
 def test_non_utf8_algebra_is_exit_2(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"name": "\xe9"}')

@@ -16,7 +16,6 @@ from frob2d.linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
-    apply,
     as_rational,
     braiding,
     compose,
@@ -46,6 +45,17 @@ def test_as_rational_accepts_ints_fractions_strings():
     assert isinstance(as_rational(Fraction(4, 2)), int)
     assert as_rational("2/3") == Fraction(2, 3)
     assert as_rational("-7") == -7
+
+
+def test_as_rational_accepts_only_integer_and_p_over_q_strings():
+    assert as_rational("+3/6") == Fraction(1, 2) and as_rational("-0/4") == 0
+    for text in ("1.5", "1e10000000", "1E2", "1_0", " 1", "1 ", "1/-2", "1/+2", "/2", "\u0661"):
+        with pytest.raises(ValueError):
+            as_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        as_rational("1/0")
+    with pytest.raises(ValueError):  # past the int-conversion digit limit
+        as_rational("1" * 5000)
 
 
 def test_as_rational_rejects_floats_and_bools():
@@ -183,32 +193,6 @@ def test_matrix_requires_consistent_entry_count():
         Matrix(2, 2, [1, 2, 3])
 
 
-def test_apply_rejects_mismatched_state():
-    with pytest.raises(ShapeError):
-        apply(identity(2), identity(6), 2, 2)
-
-
-@st.composite
-def apply_cases(draw):
-    left = draw(st.integers(min_value=1, max_value=3))
-    right = draw(st.integers(min_value=1, max_value=3))
-    # one column is a generator with no input strands (cup, theta)
-    f = draw(small_matrix(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
-    state = draw(small_matrix(left * f.cols * right, draw(st.integers(1, 3))))
-    return f, state, left, right
-
-
-@given(apply_cases())
-@example((Matrix(2, 1, [1, Fraction(-1, 2)]), identity(1), 1, 1))
-@example((Matrix(2, 1, [1, 0]), identity(4), 2, 2))
-@example((Matrix(1, 2, [0, 3]), Matrix(2, 1, [Fraction(1, 3), 5]), 1, 1))
-@settings(max_examples=60, deadline=None)
-def test_apply_equals_identity_padded_layer(case):
-    f, state, left, right = case
-    layer = kron(kron(identity(left), f), identity(right))
-    assert apply(f, state, left, right) == compose(layer, state)
-
-
 def padded(f, pad):
     left, right = pad
     return kron(kron(identity(left), f), identity(right))
@@ -232,10 +216,23 @@ def layer_pairs(draw):
 @example((Matrix(2, 4, [1, 0, 0, 0, 0, 0, 0, 1]), (2, 1), Matrix(4, 2, [1, 0, 0, 0, 0, 0, 0, 1]),
           (1, 2)))
 @example((Matrix(1, 2, [0, Fraction(1, 2)]), (1, 1), Matrix(2, 1, [3, 0]), (1, 1)))
+# a map on chosen strands of a state, g_pad = (1, 1): one-column f (cup, theta),
+# Fraction entries, a pad of 1 or 2 on each side
+@example((Matrix(2, 1, [1, Fraction(-1, 2)]), (1, 1), identity(1), (1, 1)))
+@example((Matrix(2, 1, [1, 0]), (2, 2), identity(4), (1, 1)))
+@example((Matrix(1, 2, [0, 3]), (1, 1), Matrix(2, 1, [Fraction(1, 3), 5]), (1, 1)))
 @settings(max_examples=80, deadline=None)
 def test_compose_layers_equals_product_of_padded_layers(case):
     f, f_pad, g, g_pad = case
     assert compose_layers(f, f_pad, g, g_pad) == compose(padded(f, f_pad), padded(g, g_pad))
+
+
+def test_layer_product_reuses_a_memo_but_stores_none():
+    f, state = Matrix(2, 2, [0, 1, 1, 0]), Matrix(2, 2, [3, 0, 0, Fraction(1, 2)])
+    product = layer_product(f, (1, 1), state, (1, 1))
+    assert state._nonzeros is None  # a state read once gets no memo
+    state.nonzeros()
+    assert layer_product(f, (1, 1), state, (1, 1)) == product == (2, 2, {1: Fraction(1, 2), 2: 3})
 
 
 def test_compose_layers_rejects_mismatched_layers():
@@ -331,7 +328,6 @@ def test_oversized_results_are_refused_before_allocation():
         ("4096x4096", lambda: identity(4096)),
         ("4096x2049", lambda: compose(column, row)),
         ("4096x2049", lambda: kron(column, row)),
-        ("4096x2049", lambda: apply(column, row, 1, 1)),
         ("4096x2049", lambda: compose_layers(column, (1, 1), row, (1, 1))),
         ("8392704x8392704", lambda: braiding(4096, 2049)),
         ("8392704x8392704", lambda: interleaver(1, 4096, 2049)),

@@ -32,7 +32,7 @@ from frob2d.frobenius import (
     tensor,
     tensor_extended,
 )
-from frob2d.linalg import BudgetError, Matrix, identity
+from frob2d.linalg import BudgetError, Matrix, compose, identity, inverse, kron
 from frob2d.report import CheckResult, Witness
 from frob2d.tqft import (
     ExtendedRequiredError,
@@ -371,6 +371,94 @@ def test_naturality_matches_dense_reference_on_random_open_words():
                 arities.add((source, target))
                 outcomes.add(expect.passed)
     assert {s for s, _ in arities} == {t for _, t in arities} == {0, 1, 2, 3}
+    assert outcomes == {True, False}
+
+
+# -- algebras written in a dense Fraction basis ------------------------------------
+#
+# Most structure constants are Fractions and many products cancel to zero:
+# the worst case for a product over nonzeros.
+
+
+def in_fraction_basis(algebra, rng):
+    """``(moved, b)``: the algebra in the basis of ``b``'s columns, and ``b`` itself.
+
+    ``b`` is an algebra isomorphism from ``moved`` to ``algebra``.
+    """
+    base = getattr(algebra, "base", algebra)
+    n = base.dim
+    values = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), 2, -1)
+    b = Matrix(n, n, [rng.choice(values) if i <= j else Fraction(rng.choice(values), 5)
+                      for i in range(n) for j in range(n)])
+    inv = inverse(b)
+    moved = base.replace(
+        mult=compose(inv, base.mult, kron(b, b)),
+        unit=compose(inv, base.unit),
+        counit=compose(base.counit, b),
+        comult=compose(kron(inv, inv), base.comult, b),
+    )
+    if base is not algebra:
+        moved = algebra.replace(base=moved, involution=compose(inv, algebra.involution, b),
+                                point=compose(inv, algebra.point))
+    return moved, b
+
+
+def tables_of(algebra):
+    """The structure-constant tables of ``oracles``, read entry by entry."""
+    base = getattr(algebra, "base", algebra)
+    r = range(base.dim)
+    tables = {
+        "mult": [[[base.mult[k, i * base.dim + j] for k in r] for j in r] for i in r],
+        "unit": [base.unit[k, 0] for k in r],
+        "counit": [base.counit[0, k] for k in r],
+        "comult": [[[base.comult[j * base.dim + k, i] for k in r] for j in r] for i in r],
+    }
+    if base is not algebra:
+        tables["phi"] = [[algebra.involution[j, i] for j in r] for i in r]
+        tables["theta"] = [algebra.point[k, 0] for k in r]
+    return tables
+
+
+def test_dense_fraction_basis_matches_oracle_route():
+    rng = random.Random(41)
+    z2, kxk = group_algebra_z2(), split_pair()
+    sweeps = (
+        (z2, random_words(25, seed=42, max_strands=5)),
+        (group_algebra_z2_extended(), random_words(25, seed=43, max_strands=4, unoriented=True)),
+        (tensor(z2, kxk), random_words(8, seed=44, max_strands=3)),
+    )
+    for algebra, words in sweeps:
+        moved, _ = in_fraction_basis(algebra, rng)
+        assert_oracle_route(words, moved, tables_of(moved))
+
+
+def test_naturality_in_a_dense_fraction_basis_matches_dense_reference():
+    rng = random.Random(45)
+    z2, kxk = group_algebra_z2(), split_pair()
+    sweeps = (
+        (z2, random_words(12, seed=46, max_strands=3)),
+        (group_algebra_z2_extended(), random_words(12, seed=47, max_strands=3, unoriented=True)),
+        (tensor(z2, kxk), random_words(6, seed=48, max_strands=2)),
+    )
+    outcomes = set()
+    for algebra, words in sweeps:
+        moved, b = in_fraction_basis(algebra, rng)
+        n = b.rows
+        g = [[rng.choice((0, 1, Fraction(-1, 3), Fraction(5, 2))) for _ in range(n)]
+             for _ in range(n)]
+        morphisms = (
+            (FrobeniusMorphism(moved, algebra, b), tables_of(algebra)),  # an isomorphism
+            (FrobeniusMorphism(moved, moved, Matrix(n, n, sum(g, []))), tables_of(moved)),
+        )
+        source_tables = tables_of(moved)
+        for f, target_tables in morphisms:
+            lists = [list(f.matrix.row(i)) for i in range(n)]
+            for w in words:
+                labels = [[gen.label for gen in s] for s in w.slices]
+                expect = dense_naturality(lists, source_tables, target_tables, labels,
+                                          w.source_arity, w.target_arity)
+                assert check_naturality(f, w).checks == (expect,), (labels, n)
+                outcomes.add(expect.passed)
     assert outcomes == {True, False}
 
 
