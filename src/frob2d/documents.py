@@ -58,10 +58,17 @@ def _scalar(value, where: str):
         try:
             return as_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"field '{where}': not a rational: {value!r}") from exc
+            raise DocumentError(f"field '{where}': not a rational: {_shown(value)}") from exc
     raise DocumentError(
         f"field '{where}': expected an integer or \"p/q\" string, got {type(value).__name__}"
     )
+
+
+def _shown(text: str) -> str:
+    """A refused string for an error line: its repr, cut to 40 characters past 40."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{repr(text[:40])[:40]}... ({len(text)} characters)"
 
 
 def _field(data: dict, name: str):

@@ -12,18 +12,23 @@ package:
 
   so the basis vector ``e_i (x) e_j`` of a tensor-product space sits at
   flat index ``i * dim_right + j``.
-* ``layer_product(f, f_pad, g, g_pad)`` multiplies two padded layers
-  ``kron(identity(l), f, identity(r))`` from the nonzeros of ``f`` and
-  ``g`` alone and returns the product's own nonzeros as ``(rows, cols,
-  {flat index: entry})``, so no padded layer is built and a sparse
-  product is never laid out densely; ``compose_layers`` is the same
-  product as a dense ``Matrix``.  It is the package's one way to act on
-  chosen strands: ``compose_layers(f, (l, r), state, (1, 1))`` applies
-  ``f`` to the middle strands of ``state`` while the others pass
-  through.  ``Matrix.nonzeros()`` lists (and remembers) a matrix's
-  nonzero entries for these loops.
+* A *state* is a matrix given by its nonzeros, ``(rows, cols, {flat
+  index: entry})``.  ``layer_product(f, f_pad, g, g_pad)`` multiplies two
+  padded layers ``kron(identity(l), f, identity(r))`` from the nonzeros
+  of ``f`` and ``g`` alone and returns the product as a state, so no
+  padded layer is built and a sparse product is never laid out densely.
+  Its right factor ``g`` may be a ``Matrix`` or a state, so products
+  chain without a dense step: ``layer_product(f, (l, r), state, (1, 1))``
+  applies ``f`` to the middle strands of ``state`` while the others pass
+  through, the package's one way to act on chosen strands.  ``dense``
+  lays a state out as a ``Matrix`` and ``compose_layers`` is the product
+  as a ``Matrix``.  ``Matrix.nonzeros()`` lists (and remembers) a
+  matrix's nonzero entries for these loops.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
+  ``layer_product`` refuses a product only when both its nonzero bound
+  and its dense shape pass ``MAX_CELLS``, so a state may stand for a
+  matrix far larger than the budget.
   ``MAX_ENTRY_BITS`` bounds the entries that repeated squaring may build
   (``tqft.surface_invariant``) the same way.
 * ``Record`` is the immutable base of the package's value types (reports,
@@ -66,6 +71,12 @@ def _cells(rows: int, cols: int) -> int:
             f"over the budget of {MAX_CELLS}"
         )
     return rows * cols
+
+
+def _check_nonzeros(bound: int, rows: int, cols: int) -> None:
+    """Refuse a rows x cols result of at most ``bound`` nonzeros when both pass MAX_CELLS."""
+    if bound > MAX_CELLS:
+        _cells(rows, cols)
 
 
 # Entries of at most about a million bits print in about two seconds; a
@@ -290,54 +301,80 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     return Matrix._raw(rows, cols, tuple(out))
 
 
-def _layer_shape(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> tuple:
+def _layer_shape(f: Matrix, f_pad: tuple, g_rows: int, g_cols: int, g_pad: tuple) -> tuple:
     """The shape of the product of two padded layers, or ShapeError if they do not meet."""
     (fl, fr), (gl, gr) = f_pad, g_pad
-    if fl * f.cols * fr != gl * g.rows * gr:
+    if fl * f.cols * fr != gl * g_rows * gr:
         raise ShapeError(
-            f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g.rows}x{g.cols}|{gr}"
+            f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g_rows}x{g_cols}|{gr}"
         )
-    return fl * f.rows * fr, gl * g.cols * gr
+    return fl * f.rows * fr, gl * g_cols * gr
 
 
-def layer_product(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> tuple:
-    """The nonzeros of ``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` for pads ``(l, r)``, ``(l', r')``.
+def _right_factor(g) -> tuple:
+    """``(rows, cols, nonzero bound, (flat index, entry) pairs)`` of a Matrix or a state.
 
-    Returns ``(rows, cols, {flat index: entry})`` with no zero entry: sums
-    that cancel are dropped.  Neither layer is built: every nonzero of
-    ``g``, repeated over its pad, meets the nonzeros of ``f`` in the column
-    it feeds, so the work is about nnz(g) * l' * r' * (nonzeros per column
-    of f), and the memory is the nonzeros of the product.
+    A state is ``(rows, cols, {flat index: entry})``, the form
+    ``layer_product`` returns.  A matrix's memo is reused, but a matrix read
+    once is scanned without storing one, and its cell count bounds its
+    nonzeros.
     """
-    rows, cols = _layer_shape(f, f_pad, g, g_pad)
+    if isinstance(g, Matrix):
+        if g._nonzeros is None:
+            pairs = ((k, b) for k, b in enumerate(g.entries) if b)
+            return g.rows, g.cols, g.rows * g.cols, pairs
+        return g.rows, g.cols, len(g._nonzeros), g._nonzeros
+    rows, cols, nonzeros = g
+    return rows, cols, len(nonzeros), nonzeros.items()
+
+
+def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
+    """The nonzeros of ``kron(I_l, f, I_r) . kron(I_l', g, I_r')``, pads ``(l, r)``, ``(l', r')``.
+
+    ``g`` is a ``Matrix`` or a state ``(rows, cols, {flat index: entry})``.
+    Returns such a state with no zero entry: sums that cancel are dropped.
+    Neither layer is built: every nonzero of ``g``, repeated over its pad,
+    meets the nonzeros of ``f`` in the column it feeds, so the work is about
+    nnz(g) * l' * r' * (nonzeros per column of f), and the memory is the
+    nonzeros of the product.  A product is refused (``BudgetError``) before
+    it runs only when both that nonzero bound, with f's fullest column, and
+    its dense shape pass ``MAX_CELLS``.
+    """
+    g_rows, g_cols, g_bound, g_nonzeros = _right_factor(g)
+    rows, cols = _layer_shape(f, f_pad, g_rows, g_cols, g_pad)
     fr, (gl, gr) = f_pad[1], g_pad
     f_column = [[] for _ in range(f.cols)]  # (row, entry) of each nonzero of f, by column
     for k, a in f.nonzeros():
         f_column[k % f.cols].append((k // f.cols, a))
+    _check_nonzeros(g_bound * gl * gr * max(map(len, f_column), default=0), rows, cols)
     out = {}
-    # a memo is reused, but a state read once is scanned without storing one
-    g_nonzeros = g._nonzeros or ((k, b) for k, b in enumerate(g.entries) if b)
     for k, b in g_nonzeros:
-        y, x = divmod(k, g.cols)
+        y, x = divmod(k, g_cols)
         for left in range(gl):
             for right in range(gr):
                 # g's output (left, y, right) is f's input (outer, z, inner)
-                outer, rest = divmod((left * g.rows + y) * gr + right, f.cols * fr)
+                outer, rest = divmod((left * g_rows + y) * gr + right, f.cols * fr)
                 z, inner = divmod(rest, fr)
-                col = (left * g.cols + x) * gr + right
+                col = (left * g_cols + x) * gr + right
                 for row, a in f_column[z]:
                     index = ((outer * f.rows + row) * fr + inner) * cols + col
                     out[index] = out.get(index, 0) + a * b
     return rows, cols, {k: x for k, x in out.items() if x}
 
 
-def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
-    """``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` as a dense matrix (see ``layer_product``)."""
-    rows, cols = _layer_shape(f, f_pad, g, g_pad)
+def dense(state: tuple) -> Matrix:
+    """The ``Matrix`` of a state ``(rows, cols, {flat index: entry})``, refused over MAX_CELLS."""
+    rows, cols, nonzeros = state
     out = [0] * _cells(rows, cols)
-    for k, x in layer_product(f, f_pad, g, g_pad)[2].items():
+    for k, x in nonzeros.items():
         out[k] = x
     return Matrix._raw(rows, cols, tuple(out))
+
+
+def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
+    """``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` as a dense matrix (see ``layer_product``)."""
+    _cells(*_layer_shape(f, f_pad, g.rows, g.cols, g_pad))  # refused before the product runs
+    return dense(layer_product(f, f_pad, g, g_pad))
 
 
 @lru_cache(maxsize=16)

@@ -1,11 +1,16 @@
 """Evaluation of cobordism words against (extended) Frobenius algebras.
 
 A word on an algebra of dimension n becomes a matrix between tensor
-powers of the underlying space.  Evaluation starts from the identity on
-the n**source basis columns and applies each non-id generator to its own
-strands only (``linalg.compose_layers`` with the state as the right
-factor), so no identity-padded layer is built.  The state stays a dense
-``Matrix`` between slices.
+powers of the underlying space.  Evaluation carries a state of nonzeros,
+``(rows, cols, {flat index: entry})``: it starts from the nonzeros of the
+identity on the n**source basis columns and applies each non-id generator
+to its own strands only (``linalg.layer_product`` with the state as the
+right factor), so no identity-padded layer and no dense state is built.
+``evaluate`` lays out the dense ``Matrix`` once, at the end, and refuses
+an answer of more than ``MAX_CELLS`` cells before it starts; a step is
+refused only when its nonzero bound and its dense shape both pass the
+budget.  ``check_monoidal_naturality`` regroups the nonzeros of its two
+sides by flat index, with no permutation matrix or Kronecker product.
 Closed words evaluate to 1x1 matrices whose single entry is the surface
 invariant.
 
@@ -45,14 +50,16 @@ from .linalg import (
     BudgetError,
     Matrix,
     Rational,
+    _cells,
+    _check_nonzeros,
     braiding,
     compose,
     compose_layers,
+    dense,
     identity,
-    interleaver,
-    kron,
+    layer_product,
 )
-from .report import AxiomReport, compare
+from .report import AxiomReport, compare, compare_nonzeros
 
 
 class ExtendedRequiredError(ValueError):
@@ -87,10 +94,28 @@ def _generator_matrix(generator: Generator, algebra: AnyAlgebra) -> Matrix:
 
 
 def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
-    """The matrix of a word; a word with no slices is the identity on 0 circles."""
-    source, _ = validate_word(word)
+    """The matrix of a word; a word with no slices is the identity on 0 circles.
+
+    Raises BudgetError, before any state is built, when the answer has more
+    than ``MAX_CELLS`` cells.
+    """
+    source, target = validate_word(word)
     n = as_plain(algebra).dim
-    state = identity(n**source)
+    _cells(n**target, n**source)
+    return dense(_word_nonzeros(word, algebra))
+
+
+def _word_nonzeros(word: CobordismWord, algebra: AnyAlgebra) -> tuple:
+    """The nonzeros of a valid word's matrix, as ``(rows, cols, {flat index: entry})``.
+
+    The state starts as the nonzeros of the n**source identity and each
+    non-id generator acts on its own strands (``layer_product``, whose
+    budget refuses a step), so no dense matrix is built.
+    """
+    n = as_plain(algebra).dim
+    size = n**word.source_arity
+    _check_nonzeros(size, size, size)
+    state = (size, size, {k * (size + 1): 1 for k in range(size)})
     for slice_ in word.slices:
         # left spans the outputs placed so far, right the inputs still to come
         left, right = 1, n ** sum(g.arity_in for g in slice_)
@@ -98,7 +123,7 @@ def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
             right //= n**generator.arity_in
             if generator is not Generator.ID:
                 f = _generator_matrix(generator, algebra)
-                state = compose_layers(f, (left, right), state, (1, 1))
+                state = layer_product(f, (left, right), state, (1, 1))
             left *= n**generator.arity_out
     return state
 
@@ -190,15 +215,46 @@ def _tensor_algebras(a: AnyAlgebra, b: AnyAlgebra) -> AnyAlgebra:
 def check_monoidal_naturality(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra) -> AxiomReport:
     """Evaluation against a tensor product vs Kronecker of evaluations.
 
-    The two sides act on differently grouped tensor powers, so source and
-    target are matched through the interleaver permutations.
+    The two sides act on differently grouped tensor powers.  Both are laid
+    out as ``interleaver`` would match them: rows as ``(A (x) B)^(x)target``
+    and columns as ``A^(x)source (x) B^(x)source``, by moving the flat
+    indices of their nonzeros, and compared by ``compare_nonzeros``.
     """
     source, target = validate_word(word)
     na, nb = as_plain(a).dim, as_plain(b).dim
-    product = _tensor_algebras(a, b)
-    lhs = compose(evaluate(word, product), interleaver(source, na, nb))
-    rhs = compose(interleaver(target, na, nb), kron(evaluate(word, a), evaluate(word, b)))
-    return AxiomReport((compare("monoidal_naturality", lhs, rhs),))
+    rows, cols, product = _word_nonzeros(word, _tensor_algebras(a, b))
+    _, a_cols, on_a = _word_nonzeros(word, a)
+    _, b_cols, on_b = _word_nonzeros(word, b)
+    # column c of the product's grouping is column split[c] of the split one
+    split = [0] * cols
+    col_a, col_b = _paired(source, na, nb)
+    for i, x in enumerate(col_a):
+        for j, y in enumerate(col_b):
+            split[x + y] = i * b_cols + j
+    lhs = {k - k % cols + split[k % cols]: x for k, x in product.items()}
+    # the Kronecker side has as many nonzeros as the product's evaluation,
+    # which its step budget bounds: the tensor product evaluates factor-wise
+    row_a, row_b = _paired(target, na, nb)
+    on_a = [(row_a[k // a_cols] * cols + k % a_cols * b_cols, x) for k, x in on_a.items()]
+    on_b = [(row_b[k // b_cols] * cols + k % b_cols, y) for k, y in on_b.items()]
+    rhs = {i + j: x * y for i, x in on_a for j, y in on_b}
+    return AxiomReport((
+        compare_nonzeros("monoidal_naturality", (rows, cols, lhs), (rows, cols, rhs)),
+    ))
+
+
+def _paired(strands: int, na: int, nb: int) -> tuple:
+    """Where the flat indices of A^(x)strands and B^(x)strands land in (A (x) B)^(x)strands.
+
+    The pair (i, j) lands at ``on_a[i] + on_b[j]``: the digit pairs, read
+    base na * nb, in the order ``interleaver`` gives them.
+    """
+    ab = na * nb
+    on_a, on_b = [0], [0]
+    for _ in range(strands):
+        on_a = [x * ab + d * nb for x in on_a for d in range(na)]
+        on_b = [x * ab + d for x in on_b for d in range(nb)]
+    return on_a, on_b
 
 
 def check_multiplicativity(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra) -> AxiomReport:

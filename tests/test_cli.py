@@ -1,9 +1,12 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -319,6 +322,14 @@ def test_other_scalar_strings_are_exit_2(capsys, tmp_path, text):
     assert run(capsys, "check", path) == (2, "", expect)
 
 
+@pytest.mark.parametrize("text", ["1" * 5001, "2" * 10**6])
+def test_long_scalar_strings_are_cut_in_their_error_line(capsys, tmp_path, text):
+    path = write_z2_ext(tmp_path, lambda doc: doc.__setitem__("unit", [text, 0]))
+    line = f"error: field 'unit[0]': not a rational: '{text[:39]}... ({len(text)} characters)"
+    assert run(capsys, "check", path) == (2, "", line + "\n")
+    assert len(line) < 200
+
+
 @pytest.mark.parametrize("change, line", [
     (lambda block: block.pop("phi"), "missing field 'extended.phi'"),
     (lambda block: block.pop("theta"), "missing field 'extended.theta'"),
@@ -403,15 +414,41 @@ def test_naturality_witness_prints_past_the_digit_limit(capsys, tmp_path):
     assert (code, out, err) == (1, expected, "")
 
 
-def test_eval_over_the_size_budget_is_exit_2(capsys, tmp_path):
+def z2_squared(tmp_path):
     z2 = load_algebra(DATA["z2.json"])
     algebra = tmp_path / "z2z2.json"
     save_algebra(tensor(z2, z2), algebra)
+    return str(algebra)
+
+
+def test_eval_over_the_size_budget_is_exit_2(capsys, tmp_path):
+    # 8 -> 8 circles on Z2*Z2: a 65536 x 65536 answer, refused before any state
+    algebra = z2_squared(tmp_path)
+    path = tmp_path / "wide.cob"
+    path.write_text("oriented\nmult,mult,mult,mult\ncomult,comult,comult,comult\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "eval", str(path), algebra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: a 65536x65536 matrix has 4294967296 cells, over the budget of 8388608\n"
+    assert peak < 2**20
+
+
+def test_eval_of_a_wide_source_word_prints_its_answer(capsys, tmp_path):
+    # Z2*Z2 is the group algebra of Z2 x Z2: basis element p = 2i + j multiplies
+    # by xor, so the product of 8 circles sits in the row of the xor of its digits
     path = tmp_path / "wide.cob"
     path.write_text("oriented\nmult,mult,mult,mult\nmult,mult\nmult\n")
-    code, out, err = run(capsys, "eval", str(path), str(algebra))
-    assert_one_error_line(code, out, err)
-    assert "a 65536x65536 matrix has" in err
+    code, out, err = run(capsys, "eval", str(path), z2_squared(tmp_path))
+    digit_xor = [functools.reduce(operator.xor, ((c >> s) & 3 for s in range(0, 16, 2)))
+                 for c in range(4**8)]
+    expect = ["4x65536"] + [" ".join("1" if x == row else "0" for x in digit_xor)
+                            for row in range(4)]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expect
 
 
 def test_unknown_subcommand_is_exit_2(capsys):

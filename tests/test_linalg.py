@@ -20,6 +20,7 @@ from frob2d.linalg import (
     braiding,
     compose,
     compose_layers,
+    dense as to_matrix,
     identity,
     interleaver,
     inverse,
@@ -233,6 +234,32 @@ def test_layer_product_reuses_a_memo_but_stores_none():
     assert state._nonzeros is None  # a state read once gets no memo
     state.nonzeros()
     assert layer_product(f, (1, 1), state, (1, 1)) == product == (2, 2, {1: Fraction(1, 2), 2: 3})
+
+
+@given(layer_pairs())
+@settings(max_examples=40, deadline=None)
+def test_layer_product_reads_a_state_as_its_matrix(case):
+    f, f_pad, g, g_pad = case
+    state = (g.rows, g.cols, {k: x for k, x in enumerate(g.entries) if x})
+    product = layer_product(f, f_pad, state, g_pad)
+    assert product == layer_product(f, f_pad, g, g_pad)
+    assert to_matrix(product) == compose_layers(f, f_pad, g, g_pad)
+    assert g._nonzeros is None
+
+
+def test_layer_product_is_refused_only_when_nonzeros_and_cells_pass_the_budget():
+    # the 4096 x 4096 identity has 4096 nonzeros: a state may pass the cell budget
+    n = 4096
+    eye = (n, n, {k * (n + 1): 1 for k in range(n)})
+    assert layer_product(Matrix(1, 1, [2]), (n, 1), eye, (1, 1)) == (
+        n, n, {k * (n + 1): 2 for k in range(n)}
+    )
+    with pytest.raises(BudgetError, match=f"^a {n}x{n} matrix has"):
+        to_matrix(eye)
+    # 2**24 padded copies of one nonzero, on a 2**24 x 2**24 product: refused
+    # before the product runs
+    with pytest.raises(BudgetError, match="^a 16777216x16777216 matrix has"):
+        layer_product(identity(1), (n, n), identity(1), (n, n))
 
 
 def test_compose_layers_rejects_mismatched_layers():

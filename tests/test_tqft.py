@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from frob2d import tqft
 from frob2d.cobordism import (
     CobordismWord,
     Generator,
@@ -32,8 +34,8 @@ from frob2d.frobenius import (
     tensor,
     tensor_extended,
 )
-from frob2d.linalg import BudgetError, Matrix, compose, identity, inverse, kron
-from frob2d.report import CheckResult, Witness
+from frob2d.linalg import BudgetError, Matrix, compose, identity, interleaver, inverse, kron
+from frob2d.report import CheckResult, Witness, compare
 from frob2d.tqft import (
     ExtendedRequiredError,
     check_monoidal_naturality,
@@ -147,10 +149,32 @@ def test_phi_theta_need_extended_algebra():
 
 
 def test_wide_source_is_refused_before_allocation():
-    # 8 source circles on Z2*Z2 would start from the 4**8 x 4**8 identity
+    # an 8 -> 8 word on Z2*Z2 has a 4**8 x 4**8 answer: refused before any state
     z = group_algebra_z2()
-    with pytest.raises(BudgetError, match="^a 65536x65536 matrix has 4294967296 cells"):
-        evaluate(word([MULT] * 4, [MULT, MULT], [MULT]), tensor(z, z))
+    wide = word([MULT] * 4, [COMULT] * 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as refused:
+            evaluate(wide, tensor(z, z))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (
+        "a 65536x65536 matrix has 4294967296 cells, over the budget of 8388608"
+    )
+    assert peak < 2**20
+
+
+def test_wide_source_word_matches_oracle_route():
+    # 8 source circles on Z2*Z2, a 4 x 65536 answer: the state carries 4**8
+    # nonzeros, where the dense 4**8 identity would pass the cell budget
+    z = group_algebra_z2()
+    labels = [["mult"] * 4, ["mult"] * 2, ["mult"]]
+    got = evaluate(word([MULT] * 4, [MULT] * 2, [MULT]), tensor(z, z))
+    tables = oracles.tensor_tables(oracles.Z2_TABLES, oracles.Z2_TABLES)
+    expect = oracles.word_matrix(labels, tables, 8)
+    assert (got.rows, got.cols) == (4, 65536)
+    assert [list(got.row(i)) for i in range(got.rows)] == expect
 
 
 def test_evaluation_matches_oracle_route_on_open_words():
@@ -224,6 +248,49 @@ def test_random_words_match_oracle_route_z2_squared():
         tensor_extended(group_algebra_z2_extended(), group_algebra_z2_extended()),
         oracles.tensor_tables(z2e, z2e),
     )
+
+
+def narrowing_words(count, seed, unoriented=False):
+    """Random words from 6 circles (every third word from 7) down to at most 2."""
+    rng = random.Random(seed)
+    singles = [ID, CAP] + ([PHI] if unoriented else [])
+    births = [CUP] + ([THETA] if unoriented else [])
+    words = []
+    for index in range(count):
+        width, slices = 6 + (index % 3 == 2), []
+        while width > 2 or not slices:
+            gens, left = [], width
+            while left:
+                pool = singles + ([MULT, MULT, SWAP] if left >= 2 else [])
+                g = COMULT if rng.random() < 0.05 else rng.choice(pool)
+                gens.append(g)
+                left -= g.arity_in
+            if rng.random() < 0.2:
+                gens.insert(rng.randrange(len(gens) + 1), rng.choice(births))
+            slices.append(gens)
+            width = sum(g.arity_out for g in gens)
+        words.append(word(*slices, orientation="unoriented" if unoriented else "oriented"))
+    return words
+
+
+def test_words_from_six_and_seven_circles_match_oracle_route_on_n4():
+    # a dense 4**6 or 4**7 identity start state passes the cell budget
+    z, k = group_algebra_z2(), split_pair()
+    ze, ke = group_algebra_z2_extended(), split_pair_extended()
+    t = oracles.tensor_tables
+    sweeps = (
+        (tensor(z, z), t(oracles.Z2_TABLES, oracles.Z2_TABLES), narrowing_words(3, 61)),
+        (tensor(k, k), t(oracles.KXK_TABLES, oracles.KXK_TABLES), narrowing_words(3, 62)),
+        (tensor_extended(ze, ke), t(oracles.Z2_EXT_TABLES, oracles.KXK_EXT_TABLES),
+         narrowing_words(3, 63, unoriented=True)),
+        (tensor_extended(ke, ke), t(oracles.KXK_EXT_TABLES, oracles.KXK_EXT_TABLES),
+         narrowing_words(3, 64, unoriented=True)),
+    )
+    for algebra, tables, words in sweeps:
+        assert {w.source_arity for w in words} == {6, 7}
+        assert_oracle_route(words, algebra, tables)
+    unoriented = {g for _, _, words in sweeps[2:] for w in words for s in w.slices for g in s}
+    assert {PHI, THETA} <= unoriented
 
 
 def test_swap_then_mult_equals_mult():
@@ -492,6 +559,44 @@ def test_monoidal_naturality_unoriented_pair():
         w, group_algebra_z2_extended(), split_pair_extended()
     )
     assert report.passed
+
+
+def test_monoidal_naturality_on_words_from_six_circles():
+    # (2 * 2)**6 columns: the dense interleaver of 4096 x 4096 passes the cell budget
+    words = narrowing_words(3, 65) + narrowing_words(3, 66, unoriented=True)
+    for w in words[:3]:
+        assert check_monoidal_naturality(w, group_algebra_z2(), split_pair()).passed
+    for w in words[3:]:
+        assert check_monoidal_naturality(
+            w, split_pair_extended(), group_algebra_z2_extended()
+        ).passed
+
+
+def test_monoidal_naturality_refuses_a_start_state_over_the_budget():
+    # (2 * 2)**12 source columns: the identity's nonzeros alone pass the budget
+    with pytest.raises(BudgetError, match="^a 16777216x16777216 matrix has"):
+        check_monoidal_naturality(word([MULT] * 6), group_algebra_z2(), group_algebra_z2())
+
+
+def test_monoidal_naturality_witness_matches_the_dense_route(monkeypatch):
+    # a product with one bumped structure constant fails: the report, witness
+    # included, is the one the dense interleaver and Kronecker sides give
+    rng = random.Random(71)
+    words = random_words(12, seed=72, max_strands=3)
+    outcomes = set()
+    for a, b in ((dual_numbers(), group_algebra_z2()), (split_pair(), dual_numbers())):
+        product = tensor(a, b)
+        for name in ("mult", "comult", "unit", "counit"):
+            broken = product.replace(**{name: bumped(getattr(product, name), rng)})
+            monkeypatch.setattr(tqft, "_tensor_algebras", lambda x, y: broken)
+            for w in words:
+                s, t = w.source_arity, w.target_arity
+                lhs = compose(evaluate(w, broken), interleaver(s, a.dim, b.dim))
+                rhs = compose(interleaver(t, a.dim, b.dim), kron(evaluate(w, a), evaluate(w, b)))
+                expect = compare("monoidal_naturality", lhs, rhs)
+                assert check_monoidal_naturality(w, a, b).checks == (expect,)
+                outcomes.add(expect.passed)
+    assert outcomes == {True, False}
 
 
 def test_multiplicativity_torus_frozen():
