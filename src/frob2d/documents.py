@@ -65,10 +65,14 @@ def _scalar(value, where: str):
 
 
 def _shown(text: str) -> str:
-    """A refused string for an error line: its repr, cut to 40 characters past 40."""
+    """A refused string for an error line: its repr up to 40 characters; past
+    that, the repr of its longest start that prints in 42, and its length."""
     if len(text) <= 40:
         return repr(text)
-    return f"{repr(text[:40])[:40]}... ({len(text)} characters)"
+    head = text[:40]
+    while len(repr(head)) > 42:  # escapes such as \x00 take up to 10 characters each
+        head = head[:-1]
+    return f"{head!r}... ({len(text)} characters)"
 
 
 def _field(data: dict, name: str):

@@ -26,9 +26,9 @@ package:
   matrix's nonzero entries for these loops.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
-  ``layer_product`` refuses a product only when both its nonzero bound
-  and its dense shape pass ``MAX_CELLS``, so a state may stand for a
-  matrix far larger than the budget.
+  A state may stand for a matrix far larger than the budget:
+  ``layer_product`` builds only nonzeros and leaves their count to its
+  callers (``tqft.evaluate`` bounds its steps).
   ``MAX_ENTRY_BITS`` bounds the entries that repeated squaring may build
   (``tqft.surface_invariant``) the same way.
 * ``Record`` is the immutable base of the package's value types (reports,
@@ -71,12 +71,6 @@ def _cells(rows: int, cols: int) -> int:
             f"over the budget of {MAX_CELLS}"
         )
     return rows * cols
-
-
-def _check_nonzeros(bound: int, rows: int, cols: int) -> None:
-    """Refuse a rows x cols result of at most ``bound`` nonzeros when both pass MAX_CELLS."""
-    if bound > MAX_CELLS:
-        _cells(rows, cols)
 
 
 # Entries of at most about a million bits print in about two seconds; a
@@ -312,20 +306,17 @@ def _layer_shape(f: Matrix, f_pad: tuple, g_rows: int, g_cols: int, g_pad: tuple
 
 
 def _right_factor(g) -> tuple:
-    """``(rows, cols, nonzero bound, (flat index, entry) pairs)`` of a Matrix or a state.
+    """``(rows, cols, (flat index, entry) pairs)`` of a Matrix or a state.
 
     A state is ``(rows, cols, {flat index: entry})``, the form
     ``layer_product`` returns.  A matrix's memo is reused, but a matrix read
-    once is scanned without storing one, and its cell count bounds its
-    nonzeros.
+    once is scanned without storing one.
     """
     if isinstance(g, Matrix):
-        if g._nonzeros is None:
-            pairs = ((k, b) for k, b in enumerate(g.entries) if b)
-            return g.rows, g.cols, g.rows * g.cols, pairs
-        return g.rows, g.cols, len(g._nonzeros), g._nonzeros
+        pairs = g._nonzeros or ((k, b) for k, b in enumerate(g.entries) if b)
+        return g.rows, g.cols, pairs
     rows, cols, nonzeros = g
-    return rows, cols, len(nonzeros), nonzeros.items()
+    return rows, cols, nonzeros.items()
 
 
 def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
@@ -336,17 +327,15 @@ def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
     Neither layer is built: every nonzero of ``g``, repeated over its pad,
     meets the nonzeros of ``f`` in the column it feeds, so the work is about
     nnz(g) * l' * r' * (nonzeros per column of f), and the memory is the
-    nonzeros of the product.  A product is refused (``BudgetError``) before
-    it runs only when both that nonzero bound, with f's fullest column, and
-    its dense shape pass ``MAX_CELLS``.
+    nonzeros of the product.  No budget is checked here: the callers bound
+    their products (``tqft`` refuses a step of an evaluation).
     """
-    g_rows, g_cols, g_bound, g_nonzeros = _right_factor(g)
+    g_rows, g_cols, g_nonzeros = _right_factor(g)
     rows, cols = _layer_shape(f, f_pad, g_rows, g_cols, g_pad)
     fr, (gl, gr) = f_pad[1], g_pad
     f_column = [[] for _ in range(f.cols)]  # (row, entry) of each nonzero of f, by column
     for k, a in f.nonzeros():
         f_column[k % f.cols].append((k // f.cols, a))
-    _check_nonzeros(g_bound * gl * gr * max(map(len, f_column), default=0), rows, cols)
     out = {}
     for k, b in g_nonzeros:
         y, x = divmod(k, g_cols)

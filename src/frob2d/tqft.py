@@ -28,6 +28,7 @@ Naturality compares the sides of ``frobenius.naturality_square``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .cobordism import (
     UNORIENTED_ONLY,
@@ -46,12 +47,12 @@ from .frobenius import (
     tensor_extended,
 )
 from .linalg import (
+    MAX_CELLS,
     MAX_ENTRY_BITS,
     BudgetError,
     Matrix,
     Rational,
     _cells,
-    _check_nonzeros,
     braiding,
     compose,
     compose_layers,
@@ -108,13 +109,13 @@ def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
 def _word_nonzeros(word: CobordismWord, algebra: AnyAlgebra) -> tuple:
     """The nonzeros of a valid word's matrix, as ``(rows, cols, {flat index: entry})``.
 
-    The state starts as the nonzeros of the n**source identity and each
-    non-id generator acts on its own strands (``layer_product``, whose
-    budget refuses a step), so no dense matrix is built.
+    The caller has refused an answer of more than ``MAX_CELLS`` cells, which
+    bounds the start state: the n**source nonzeros of the identity.  Each
+    non-id generator then acts on its own strands (``layer_product``) after
+    ``_check_step``, so no dense matrix is built.
     """
     n = as_plain(algebra).dim
     size = n**word.source_arity
-    _check_nonzeros(size, size, size)
     state = (size, size, {k * (size + 1): 1 for k in range(size)})
     for slice_ in word.slices:
         # left spans the outputs placed so far, right the inputs still to come
@@ -123,9 +124,23 @@ def _word_nonzeros(word: CobordismWord, algebra: AnyAlgebra) -> tuple:
             right //= n**generator.arity_in
             if generator is not Generator.ID:
                 f = _generator_matrix(generator, algebra)
+                _check_step(f, len(state[2]), left * f.rows * right, size)
                 state = layer_product(f, (left, right), state, (1, 1))
             left *= n**generator.arity_out
     return state
+
+
+def _check_step(f: Matrix, nonzeros: int, rows: int, cols: int) -> None:
+    """Refuse a step whose dense shape and nonzero bound both pass ``MAX_CELLS``.
+
+    The step applies f to a state of ``nonzeros`` entries and has a
+    ``rows x cols`` answer; its bound is ``nonzeros`` times the most
+    nonzeros in one column of f, counted only for a shape over the budget.
+    """
+    if rows * cols > MAX_CELLS:
+        fullest = max(Counter(k % f.cols for k, _ in f.nonzeros()).values(), default=0)
+        if nonzeros * fullest > MAX_CELLS:
+            _cells(rows, cols)
 
 
 def invariant(word: CobordismWord, algebra: AnyAlgebra) -> Rational:
@@ -219,9 +234,14 @@ def check_monoidal_naturality(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra)
     out as ``interleaver`` would match them: rows as ``(A (x) B)^(x)target``
     and columns as ``A^(x)source (x) B^(x)source``, by moving the flat
     indices of their nonzeros, and compared by ``compare_nonzeros``.
+    Raises BudgetError, before any state or index table is built, when the
+    evaluation against the tensor product has more than ``MAX_CELLS`` cells,
+    as ``evaluate`` does.
     """
     source, target = validate_word(word)
     na, nb = as_plain(a).dim, as_plain(b).dim
+    # bounds both sides, both index tables and the split list
+    _cells((na * nb) ** target, (na * nb) ** source)
     rows, cols, product = _word_nonzeros(word, _tensor_algebras(a, b))
     _, a_cols, on_a = _word_nonzeros(word, a)
     _, b_cols, on_b = _word_nonzeros(word, b)
@@ -232,8 +252,7 @@ def check_monoidal_naturality(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra)
         for j, y in enumerate(col_b):
             split[x + y] = i * b_cols + j
     lhs = {k - k % cols + split[k % cols]: x for k, x in product.items()}
-    # the Kronecker side has as many nonzeros as the product's evaluation,
-    # which its step budget bounds: the tensor product evaluates factor-wise
+    # the Kronecker side has at most (na * nb)**(target + source) nonzeros
     row_a, row_b = _paired(target, na, nb)
     on_a = [(row_a[k // a_cols] * cols + k % a_cols * b_cols, x) for k, x in on_a.items()]
     on_b = [(row_b[k // b_cols] * cols + k % b_cols, y) for k, y in on_b.items()]

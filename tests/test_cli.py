@@ -1,5 +1,6 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
+import ast
 import functools
 import json
 import operator
@@ -325,10 +326,21 @@ def test_other_scalar_strings_are_exit_2(capsys, tmp_path, text):
 @pytest.mark.parametrize("text", ["1" * 5001, "2" * 10**6])
 def test_long_scalar_strings_are_cut_in_their_error_line(capsys, tmp_path, text):
     path = write_z2_ext(tmp_path, lambda doc: doc.__setitem__("unit", [text, 0]))
-    line = f"error: field 'unit[0]': not a rational: '{text[:39]}... ({len(text)} characters)"
+    line = f"error: field 'unit[0]': not a rational: '{text[:40]}'... ({len(text)} characters)"
     assert run(capsys, "check", path) == (2, "", line + "\n")
     assert len(line) < 200
 
+
+@pytest.mark.parametrize("text", ["\x00" * 50, "\U000e0001" * 5000, "1" * 39 + "\x00" * 10])
+def test_escaped_scalar_strings_are_cut_between_escapes(capsys, tmp_path, text):
+    # an escape prints as up to 10 characters: the start shown is cut before
+    # the escape that would pass 42, never inside it
+    path = write_z2_ext(tmp_path, lambda doc: doc.__setitem__("unit", [text, 0]))
+    code, out, err = run(capsys, "check", path)
+    head, _, tail = err.removeprefix("error: field 'unit[0]': not a rational: ").rpartition("... ")
+    assert (code, out, tail) == (2, "", f"({len(text)} characters)\n")
+    assert len(head) <= 42 and text.startswith(ast.literal_eval(head))
+    assert len(err) < 200
 
 @pytest.mark.parametrize("change, line", [
     (lambda block: block.pop("phi"), "missing field 'extended.phi'"),

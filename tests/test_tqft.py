@@ -572,10 +572,32 @@ def test_monoidal_naturality_on_words_from_six_circles():
         ).passed
 
 
-def test_monoidal_naturality_refuses_a_start_state_over_the_budget():
+@pytest.mark.parametrize("cobordism, shape", [
     # (2 * 2)**12 source columns: the identity's nonzeros alone pass the budget
-    with pytest.raises(BudgetError, match="^a 16777216x16777216 matrix has"):
-        check_monoidal_naturality(word([MULT] * 6), group_algebra_z2(), group_algebra_z2())
+    (word([MULT] * 6), "4096x16777216"),
+    # 30 births from one nonzero: the index tables of the target would not fit
+    (word([CUP] * 30), f"{4**30}x1"),
+])
+def test_monoidal_naturality_is_refused_over_the_answer_budget(cobordism, shape):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"^a {shape} matrix has"):
+            check_monoidal_naturality(cobordism, group_algebra_z2(), group_algebra_z2())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_step_is_refused_only_when_its_shape_and_nonzero_bound_pass_the_budget():
+    # comult on Z2*Z2 has 4 nonzeros in each column: 2**21 nonzeros give a
+    # bound of exactly MAX_CELLS
+    comult = tensor(group_algebra_z2(), group_algebra_z2()).comult
+    big = 2**24
+    tqft._check_step(comult, 2**21, big, big)
+    tqft._check_step(comult, 2**30, 2**11, 2**12)
+    with pytest.raises(BudgetError, match=f"^a {big}x{big} matrix has"):
+        tqft._check_step(comult, 2**21 + 1, big, big)
 
 
 def test_monoidal_naturality_witness_matches_the_dense_route(monkeypatch):
