@@ -23,7 +23,11 @@ package:
   through, the package's one way to act on chosen strands.  ``dense``
   lays a state out as a ``Matrix`` and ``compose_layers`` is the product
   as a ``Matrix``.  ``Matrix.nonzeros()`` lists (and remembers) a
-  matrix's nonzero entries for these loops.
+  matrix's nonzero entries for these loops.  The left factor ``f`` is
+  also read through a second memo, its column table (the ``(row, entry)``
+  pairs of each column), built once per matrix; a right factor is read as
+  it comes and, when read only once, keeps no memo of either kind.  Memos
+  are left out of ``==``, ``hash``, repr, copies and pickles.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
   A state may stand for a matrix far larger than the budget:
@@ -163,7 +167,9 @@ class Record:
 class Matrix:
     """Immutable dense matrix of exact rationals, stored row-major."""
 
-    __slots__ = ("rows", "cols", "entries", "_nonzeros")
+    # _nonzeros and _columns are memos, filled on first use and left out
+    # of ==, hash, repr, copies and pickles
+    __slots__ = ("rows", "cols", "entries", "_nonzeros", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
         if rows < 0 or cols < 0:
@@ -177,6 +183,7 @@ class Matrix:
         self.cols = cols
         self.entries = cells
         self._nonzeros = None
+        self._columns = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
@@ -186,6 +193,7 @@ class Matrix:
         m.cols = cols
         m.entries = entries
         m._nonzeros = None
+        m._columns = None
         return m
 
     def __getitem__(self, index: tuple) -> Rational:
@@ -204,6 +212,18 @@ class Matrix:
         if self._nonzeros is None:
             self._nonzeros = tuple((k, x) for k, x in enumerate(self.entries) if x)
         return self._nonzeros
+
+    def _column_table(self) -> tuple:
+        """Per column, the ``(row, entry)`` pairs of its nonzero entries, top to bottom."""
+        if self._columns is None:
+            table = [[] for _ in range(self.cols)]
+            for k, x in self.nonzeros():
+                table[k % self.cols].append((k // self.cols, x))
+            self._columns = tuple(map(tuple, table))
+        return self._columns
+
+    def __reduce__(self):
+        return type(self), (self.rows, self.cols, self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -324,31 +344,51 @@ def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
 
     ``g`` is a ``Matrix`` or a state ``(rows, cols, {flat index: entry})``.
     Returns such a state with no zero entry: sums that cancel are dropped.
-    Neither layer is built: every nonzero of ``g``, repeated over its pad,
-    meets the nonzeros of ``f`` in the column it feeds, so the work is about
-    nnz(g) * l' * r' * (nonzeros per column of f), and the memory is the
-    nonzeros of the product.  No budget is checked here: the callers bound
-    their products (``tqft`` refuses a step of an evaluation).
+    Neither layer is built.  ``f`` is read through its column table, one
+    ``(row, entry)`` list per column, which ``f`` keeps as a memo (it does
+    not depend on the pads); its rows are scaled to output strides once per
+    call.  ``g`` keeps no memo: it is read once per cell of its pad, and
+    each of its nonzeros costs one index decode there plus one walk over the
+    column of ``f`` it feeds.  So the work is about nnz(g) * l' * r' *
+    (nonzeros per column of f), the unit pad ``(1, 1)`` adding nothing, and
+    the memory is the nonzeros of the product, in one dict.  No budget is
+    checked here: the callers bound their products (``tqft`` refuses a step
+    of an evaluation).
     """
     g_rows, g_cols, g_nonzeros = _right_factor(g)
     rows, cols = _layer_shape(f, f_pad, g_rows, g_cols, g_pad)
     fr, (gl, gr) = f_pad[1], g_pad
-    f_column = [[] for _ in range(f.cols)]  # (row, entry) of each nonzero of f, by column
-    for k, a in f.nonzeros():
-        f_column[k % f.cols].append((k // f.cols, a))
+    # A nonzero of g's layer at row m = (outer, z, inner) of f's input and
+    # column c has flat index K = m * cols + c; divmod(K, stride) splits it
+    # into (outer, z) and q = inner * cols + c, and the product's nonzero
+    # from f's entry (row, z) sits at outer * block + row * stride + q.
+    stride = fr * cols
+    block = f.rows * stride
+    table = [[(row * stride, a) for row, a in column] for column in f._column_table()]
+    if gl == gr == 1:
+        spread = g_nonzeros  # unpadded, g's flat index is K
+    else:
+        # K of g's (y, x) at pad cell (left, right): its spread index plus that cell's offset
+        spread = [(k // g_cols * gr * cols + k % g_cols * gr, b) for k, b in g_nonzeros]
+    offsets = [
+        left * (g_rows * gr * cols + g_cols * gr) + right * (cols + 1)
+        for left in range(gl)
+        for right in range(gr)
+    ]
+    f_cols = f.cols
     out = {}
-    for k, b in g_nonzeros:
-        y, x = divmod(k, g_cols)
-        for left in range(gl):
-            for right in range(gr):
-                # g's output (left, y, right) is f's input (outer, z, inner)
-                outer, rest = divmod((left * g_rows + y) * gr + right, f.cols * fr)
-                z, inner = divmod(rest, fr)
-                col = (left * g_cols + x) * gr + right
-                for row, a in f_column[z]:
-                    index = ((outer * f.rows + row) * fr + inner) * cols + col
-                    out[index] = out.get(index, 0) + a * b
-    return rows, cols, {k: x for k, x in out.items() if x}
+    get = out.get
+    for offset in offsets:
+        for k, b in spread:
+            high, q = divmod(k + offset, stride)
+            outer, z = divmod(high, f_cols)
+            base = outer * block + q
+            for row, a in table[z]:
+                index = base + row
+                out[index] = get(index, 0) + a * b
+    if 0 in out.values():  # a sum cancelled
+        out = {k: x for k, x in out.items() if x}
+    return rows, cols, out
 
 
 def dense(state: tuple) -> Matrix:

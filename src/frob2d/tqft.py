@@ -28,7 +28,6 @@ Naturality compares the sides of ``frobenius.naturality_square``.
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from .cobordism import (
     UNORIENTED_ONLY,
@@ -135,10 +134,11 @@ def _check_step(f: Matrix, nonzeros: int, rows: int, cols: int) -> None:
 
     The step applies f to a state of ``nonzeros`` entries and has a
     ``rows x cols`` answer; its bound is ``nonzeros`` times the most
-    nonzeros in one column of f, counted only for a shape over the budget.
+    nonzeros in one column of f, read from f's column table (the one
+    ``layer_product`` uses) only for a shape over the budget.
     """
     if rows * cols > MAX_CELLS:
-        fullest = max(Counter(k % f.cols for k, _ in f.nonzeros()).values(), default=0)
+        fullest = max(map(len, f._column_table()), default=0)
         if nonzeros * fullest > MAX_CELLS:
             _cells(rows, cols)
 

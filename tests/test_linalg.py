@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from frob2d.cobordism import CobordismWord, Generator, WordError
 from frob2d.examples import dual_numbers, group_algebra_z2, group_algebra_z2_extended
+from frob2d.frobenius import tensor
 from frob2d.linalg import (
     MAX_CELLS,
     BudgetError,
@@ -231,9 +233,48 @@ def test_compose_layers_equals_product_of_padded_layers(case):
 def test_layer_product_reuses_a_memo_but_stores_none():
     f, state = Matrix(2, 2, [0, 1, 1, 0]), Matrix(2, 2, [3, 0, 0, Fraction(1, 2)])
     product = layer_product(f, (1, 1), state, (1, 1))
-    assert state._nonzeros is None  # a state read once gets no memo
+    # a right factor read once gets no memo of either kind, padded or not
+    assert layer_product(f, (2, 1), state, (2, 1)) == (4, 4, {1: Fraction(1, 2), 4: 3,
+                                                            11: Fraction(1, 2), 14: 3})
+    assert state._nonzeros is None and state._columns is None
     state.nonzeros()
     assert layer_product(f, (1, 1), state, (1, 1)) == product == (2, 2, {1: Fraction(1, 2), 2: 3})
+    assert state._columns is None  # only a left factor keeps its column table
+    assert f._column_table() == (((1, 1),), ((0, 1),))
+
+
+@st.composite
+def reused_left_factor(draw):
+    """One f with several (f_pad, g, g_pad) that fit it: strides and pads vary."""
+    f = draw(small_matrix(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    uses = []
+    for _ in range(draw(st.integers(2, 4))):
+        f_pad = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+        mid = f_pad[0] * f.cols * f_pad[1]
+        g_pad = draw(st.sampled_from(
+            [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if mid % (a * b) == 0]
+        ))
+        g = draw(small_matrix(mid // (g_pad[0] * g_pad[1]), draw(st.integers(1, 3))))
+        uses.append((f_pad, g, g_pad))
+    return f, uses
+
+
+@given(reused_left_factor())
+@example((Matrix(2, 2, [1, Fraction(1, 2), 0, -1]), [
+    ((1, 1), Matrix(2, 1, [1, 1]), (1, 1)),  # stride 1
+    ((1, 2), Matrix(4, 3, range(12)), (1, 1)),  # stride 6
+    ((2, 1), Matrix(2, 2, [0, 1, 1, 0]), (2, 1)),  # stride 4, padded g
+    ((1, 3), Matrix(2, 1, [1, -1]), (1, 3)),  # stride 9
+]))
+@settings(max_examples=40, deadline=None)
+def test_one_left_factor_serves_every_pad_and_stride(case):
+    # the column table is kept on f after the first call; a table that baked
+    # in one call's stride or pad would break the later products
+    f, uses = case
+    for f_pad, g, g_pad in uses:
+        product = layer_product(f, f_pad, g, g_pad)
+        assert to_matrix(product) == compose(padded(f, f_pad), padded(g, g_pad))
+    assert f._columns is not None
 
 
 @given(layer_pairs())
@@ -244,7 +285,7 @@ def test_layer_product_reads_a_state_as_its_matrix(case):
     product = layer_product(f, f_pad, state, g_pad)
     assert product == layer_product(f, f_pad, g, g_pad)
     assert to_matrix(product) == compose_layers(f, f_pad, g, g_pad)
-    assert g._nonzeros is None
+    assert g._nonzeros is None and g._columns is None
 
 
 def test_layer_product_takes_a_state_past_the_cell_budget():
@@ -271,6 +312,21 @@ def test_layer_product_drops_sums_that_cancel():
         assert layer_product(row, (1, 2), ones, (1, 2)) == (2, 2, {})
     f, g = Matrix(2, 2, [1, 1, 0, 2]), Matrix(2, 1, [1, -1])
     assert layer_product(f, (1, 1), g, (1, 1)) == (2, 1, {1: -2})
+    # some sums cancel, others do not: only the cancelled ones go, with int
+    # and Fraction entries, unpadded, padded, and on a state
+    half = Fraction(1, 2)
+    for f, kept in (
+        (Matrix(3, 2, [1, -1, 2, 1, 0, 3]), {1: 3, 2: 3}),
+        (Matrix(3, 2, [half, -half, half, Fraction(1, 3), 2, -2]), {1: Fraction(5, 6)}),
+        (Matrix(3, 2, [half, -half, 1, -half, -2, 2]), {1: half}),
+    ):
+        for g in (ones, (2, 1, {0: 1, 1: 1})):
+            product = layer_product(f, (1, 1), g, (1, 1))
+            assert product == (3, 1, kept) and 0 not in product[2].values()
+            assert layer_product(f, (2, 1), g, (2, 1)) == (6, 2, {
+                **{k * 2: x for k, x in kept.items()},
+                **{(k + 3) * 2 + 1: x for k, x in kept.items()},
+            })
 
 
 @given(small_matrix(3, 4))
@@ -283,6 +339,37 @@ def test_nonzeros_lists_the_nonzero_entries_and_leaves_equality_alone(m):
     assert m.nonzeros() is m.nonzeros()  # remembered
     assert m == twin and hash(m) == hash(twin)  # one has its nonzeros memo, one not
     assert {m, twin} == {twin}
+
+
+def test_a_column_memo_leaves_equality_hash_repr_copies_and_pickles_alone():
+    entries = [0, Fraction(1, 2), 0, 3, 0, -1]
+    m, twin = Matrix(2, 3, entries), Matrix(2, 3, entries)
+    layer_product(m, (1, 1), identity(3), (1, 1))
+    assert m._columns == (((1, 3),), ((0, Fraction(1, 2)),), ((1, -1),))
+    assert twin._columns is None and twin._nonzeros is None
+    assert m == twin and hash(m) == hash(twin) and {m, twin} == {twin}
+    assert repr(m) == repr(twin) == "Matrix(2x3 [[0, 1/2, 0], [3, 0, -1]])"
+    assert pickle.dumps(m) == pickle.dumps(twin)  # memos are not pickled
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert copied == m and copied._nonzeros is None and copied._columns is None
+        assert copied._column_table() == m._column_table()
+
+
+def test_layer_product_keeps_one_dict_of_the_product():
+    # comult on the first of 7 circles of Z2*Z2: 4**7 -> 65,536 nonzeros.  The
+    # peak is the product's dict and its keys, about 5.1 MiB; a second,
+    # filtered copy of the dict held next to it peaks at about 8.3 MiB.
+    comult = tensor(group_algebra_z2(), group_algebra_z2()).comult
+    size = 4**7
+    state = (size, size, {k * (size + 1): 1 for k in range(size)})
+    tracemalloc.start()
+    try:
+        rows, cols, product = layer_product(comult, (1, 4**6), state, (1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rows, cols, len(product)) == (4 * size, size, 65536)
+    assert peak < 6 * 2**20
 
 
 zero_sums = st.sampled_from([1 + -1, Fraction(1, 2) + Fraction(-1, 2), Fraction(0)])
