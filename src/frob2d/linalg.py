@@ -17,10 +17,9 @@ package:
   padded layers ``kron(identity(l), f, identity(r))`` from the nonzeros
   of ``f`` and ``g`` alone and returns the product as a state, so no
   padded layer is built and a sparse product is never laid out densely.
-  Its right factor ``g`` may be a ``Matrix`` or a state, so products
-  chain without a dense step: ``layer_product(f, (l, r), state, (1, 1))``
-  applies ``f`` to the middle strands of ``state`` while the others pass
-  through, the package's one way to act on chosen strands.  ``dense``
+  Its right factor ``g`` may be a ``Matrix`` or a state.  Its one kernel,
+  ``_strand_product`` (``f`` on the middle strands of ``g``, once per cell
+  of g's pad), is also what ``tqft`` runs once per step of a word.  ``dense``
   lays a state out as a ``Matrix`` and ``compose_layers`` is the product
   as a ``Matrix``.  ``Matrix.nonzeros()`` lists (and remembers) a
   matrix's nonzero entries for these loops.  The left factor ``f`` is
@@ -28,6 +27,7 @@ package:
   pairs of each column), built once per matrix; a right factor is read as
   it comes and, when read only once, keeps no memo of either kind.  Memos
   are left out of ``==``, ``hash``, repr, copies and pickles.
+* ``compose``, ``kron`` and ``dense`` store an integral ``Fraction`` as an int.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
   A state may stand for a matrix far larger than the budget:
@@ -290,7 +290,14 @@ def compose(f: Matrix, g: Matrix, *rest: Matrix) -> Matrix:
                     b = ge[gbase + j]
                     if b:
                         out[obase + j] = out[obase + j] + a * b
-    return Matrix._raw(f.rows, gcols, tuple(out))
+    return Matrix._raw(f.rows, gcols, _stored(out, out))  # usually fewer cells than f and g
+
+
+def _stored(values: list, inputs) -> tuple:
+    """``values``, integral ``Fraction``s as ints; read only if ``inputs`` hold a Fraction."""
+    if Fraction in set(map(type, inputs)):
+        return tuple(map(as_rational, values))
+    return tuple(values)
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:
@@ -312,7 +319,7 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
                     b = ge[gbase + j2]
                     if b:
                         out[obase + j2] = b if unit else a * b
-    return Matrix._raw(rows, cols, tuple(out))
+    return Matrix._raw(rows, cols, _stored(out, itertools.chain(fe, ge)))
 
 
 def _layer_shape(f: Matrix, f_pad: tuple, g_rows: int, g_cols: int, g_pad: tuple) -> tuple:
@@ -325,70 +332,69 @@ def _layer_shape(f: Matrix, f_pad: tuple, g_rows: int, g_cols: int, g_pad: tuple
     return fl * f.rows * fr, gl * g_cols * gr
 
 
-def _right_factor(g) -> tuple:
-    """``(rows, cols, (flat index, entry) pairs)`` of a Matrix or a state.
-
-    A state is ``(rows, cols, {flat index: entry})``, the form
-    ``layer_product`` returns.  A matrix's memo is reused, but a matrix read
-    once is scanned without storing one.
-    """
-    if isinstance(g, Matrix):
-        pairs = g._nonzeros or ((k, b) for k, b in enumerate(g.entries) if b)
-        return g.rows, g.cols, pairs
-    rows, cols, nonzeros = g
-    return rows, cols, nonzeros.items()
-
-
 def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
     """The nonzeros of ``kron(I_l, f, I_r) . kron(I_l', g, I_r')``, pads ``(l, r)``, ``(l', r')``.
 
     ``g`` is a ``Matrix`` or a state ``(rows, cols, {flat index: entry})``.
     Returns such a state with no zero entry: sums that cancel are dropped.
-    Neither layer is built.  ``f`` is read through its column table, one
-    ``(row, entry)`` list per column, which ``f`` keeps as a memo (it does
-    not depend on the pads); its rows are scaled to output strides once per
-    call.  ``g`` keeps no memo: it is read once per cell of its pad, and
-    each of its nonzeros costs one index decode there plus one walk over the
-    column of ``f`` it feeds.  So the work is about nnz(g) * l' * r' *
-    (nonzeros per column of f), the unit pad ``(1, 1)`` adding nothing, and
-    the memory is the nonzeros of the product, in one dict.  No budget is
-    checked here: the callers bound their products (``tqft`` refuses a step
-    of an evaluation).
+    Neither layer is built: ``_strand_product``, the kernel, reads each
+    nonzero of ``g`` once per cell of its pad.  So the work is about nnz(g)
+    * l' * r' * (nonzeros per column of f), the unit pad ``(1, 1)`` adding
+    nothing.  A matrix ``g`` reuses its ``nonzeros()`` memo but, read once,
+    is scanned without storing one.  No budget is checked here: the callers
+    bound their products (``tqft`` refuses a step of an evaluation).
     """
-    g_rows, g_cols, g_nonzeros = _right_factor(g)
+    if isinstance(g, Matrix):
+        g_rows, g_cols = g.rows, g.cols
+        g_nonzeros = g._nonzeros or ((k, b) for k, b in enumerate(g.entries) if b)
+    else:
+        g_rows, g_cols, g_nonzeros = g[0], g[1], g[2].items()
     rows, cols = _layer_shape(f, f_pad, g_rows, g_cols, g_pad)
     fr, (gl, gr) = f_pad[1], g_pad
-    # A nonzero of g's layer at row m = (outer, z, inner) of f's input and
-    # column c has flat index K = m * cols + c; divmod(K, stride) splits it
-    # into (outer, z) and q = inner * cols + c, and the product's nonzero
-    # from f's entry (row, z) sits at outer * block + row * stride + q.
     stride = fr * cols
-    block = f.rows * stride
-    table = [[(row * stride, a) for row, a in column] for column in f._column_table()]
-    if gl == gr == 1:
-        spread = g_nonzeros  # unpadded, g's flat index is K
-    else:
-        # K of g's (y, x) at pad cell (left, right): its spread index plus that cell's offset
-        spread = [(k // g_cols * gr * cols + k % g_cols * gr, b) for k, b in g_nonzeros]
-    offsets = [
-        left * (g_rows * gr * cols + g_cols * gr) + right * (cols + 1)
-        for left in range(gl)
-        for right in range(gr)
-    ]
-    f_cols = f.cols
+    columns = _strided_columns(f, stride)
+    if gl == gr == 1:  # unpadded, g's flat index is its layer's
+        return rows, cols, _strand_product(columns, f.cols, stride, f.rows * stride, g_nonzeros)
+    # g's (y, x) at pad cell (left, right) sits at its spread index plus that cell's offset
+    spread = [(k // g_cols * gr * cols + k % g_cols * gr, b) for k, b in g_nonzeros]
+    offsets = [left * (g_rows * gr * cols + g_cols * gr) + right * (cols + 1)
+               for left in range(gl) for right in range(gr)]
+    return rows, cols, _strand_product(columns, f.cols, stride, f.rows * stride, spread, offsets)
+
+
+def _strided_columns(f: Matrix, stride: int) -> list:
+    """f's column table (a memo of f's) with its rows scaled to ``stride``."""
+    return [[(row * stride, a) for row, a in column] for column in f._column_table()]
+
+
+def _strand_product(columns: list, f_cols: int, stride: int, block: int, pairs,
+                    offsets=(0,)) -> dict:
+    """The nonzeros ``{flat index: entry}`` of ``kron(I_l, f, I_r) . g``, zeros dropped.
+
+    ``columns`` is ``_strided_columns(f, stride)``, ``pairs`` the ``(flat
+    index, entry)`` nonzeros of ``g``, read once per offset (each shifts
+    them to one cell of g's pad), ``stride`` is ``r * g.cols`` and
+    ``block`` is ``f.rows * stride``.  A nonzero costs one decode plus a
+    walk over the column of f it feeds; the product is one dict, copied
+    without zeros only when a sum cancelled.
+    """
+    # g's nonzero at row m = (outer, z, inner) of f's input and column c has
+    # flat index K = m * cols + c; divmod(K, stride) splits it into (outer, z)
+    # and q = inner * cols + c, and the product's nonzero from f's entry
+    # (row, z) sits at outer * block + row * stride + q.
     out = {}
     get = out.get
     for offset in offsets:
-        for k, b in spread:
+        for k, b in pairs:
             high, q = divmod(k + offset, stride)
             outer, z = divmod(high, f_cols)
             base = outer * block + q
-            for row, a in table[z]:
+            for row, a in columns[z]:
                 index = base + row
                 out[index] = get(index, 0) + a * b
     if 0 in out.values():  # a sum cancelled
         out = {k: x for k, x in out.items() if x}
-    return rows, cols, out
+    return out
 
 
 def dense(state: tuple) -> Matrix:
@@ -397,7 +403,7 @@ def dense(state: tuple) -> Matrix:
     out = [0] * _cells(rows, cols)
     for k, x in nonzeros.items():
         out[k] = x
-    return Matrix._raw(rows, cols, tuple(out))
+    return Matrix._raw(rows, cols, _stored(out, nonzeros.values()))
 
 
 def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:

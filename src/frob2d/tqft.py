@@ -1,14 +1,18 @@
 """Evaluation of cobordism words against (extended) Frobenius algebras.
 
 A word on an algebra of dimension n becomes a matrix between tensor
-powers of the underlying space.  Evaluation carries a state of nonzeros,
-``(rows, cols, {flat index: entry})``: it starts from the nonzeros of the
-identity on the n**source basis columns and applies each non-id generator
-to its own strands only (``linalg.layer_product`` with the state as the
-right factor), so no identity-padded layer and no dense state is built.
-``evaluate`` lays out the dense ``Matrix`` once, at the end, and refuses
-an answer of more than ``MAX_CELLS`` cells before it starts; a step is
-refused only when its nonzero bound and its dense shape both pass the
+powers of the underlying space.  Each public word function validates its
+word once and plans it (``_compile``): one step ``(generator, left,
+right)`` per non-id generator, with no algebra in it, so the naturality,
+monoidal and multiplicativity checks run one plan on each of their
+algebras.  ``_run`` carries a state of nonzeros, ``(rows, cols, {flat
+index: entry})``, from the nonzeros of the identity on the n**source basis
+columns through the steps in one loop; each step applies its generator to
+its own strands with ``linalg._strand_product``, the kernel that
+``layer_product`` also runs, so no padded layer and no dense state is
+built.  ``evaluate`` lays out the dense ``Matrix`` once, at the end.  An
+answer of more than ``MAX_CELLS`` cells is refused before the run starts;
+a step only when its nonzero bound and its dense shape both pass the
 budget.  ``check_monoidal_naturality`` regroups the nonzeros of its two
 sides by flat index, with no permutation matrix or Kronecker product.
 Closed words evaluate to 1x1 matrices whose single entry is the surface
@@ -28,6 +32,7 @@ Naturality compares the sides of ``frobenius.naturality_square``.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .cobordism import (
     UNORIENTED_ONLY,
@@ -52,12 +57,14 @@ from .linalg import (
     Matrix,
     Rational,
     _cells,
+    _strided_columns,
+    _strand_product,
+    as_rational,
     braiding,
     compose,
     compose_layers,
     dense,
     identity,
-    layer_product,
 )
 from .report import AxiomReport, compare, compare_nonzeros
 
@@ -93,40 +100,69 @@ def _generator_matrix(generator: Generator, algebra: AnyAlgebra) -> Matrix:
     return getattr(algebra, _STRUCTURE[generator])
 
 
+def _compile(word: CobordismWord, closed: bool = False) -> tuple:
+    """Validate a word once and plan it as ``(source, target, steps)``.
+
+    A step ``(generator, left, right)`` is a non-id generator with ``left``
+    strands before it (outputs of its slice so far) and ``right`` after it
+    (inputs still to come).  One plan serves every algebra.  ``closed``
+    refuses a word whose boundary is not 0 -> 0 (WordError).
+    """
+    source, target = validate_word(word)
+    if closed and (source, target) != (0, 0):
+        raise WordError(
+            f"invariants need a closed word, this one has boundary {source} -> {target}"
+        )
+    steps = []
+    for slice_ in word.slices:
+        left, right = 0, sum(g.arity_in for g in slice_)
+        for generator in slice_:
+            right -= generator.arity_in
+            if generator is not Generator.ID:
+                steps.append((generator, left, right))
+            left += generator.arity_out
+    return source, target, steps
+
+
+def _run(plan: tuple, algebra: AnyAlgebra) -> tuple:
+    """The nonzeros of a planned word's matrix, as ``(rows, cols, {flat index: entry})``.
+
+    Refuses an answer over ``MAX_CELLS`` cells first, which bounds the start
+    state (the identity's n**source nonzeros), and a step only through
+    ``_check_step``.  A generator's matrix is looked up at its first step,
+    so errors come in step order, and kept with its column table scaled to
+    each stride.  An integral ``Fraction`` in the answer is stored as an int.
+    """
+    source, target, steps = plan
+    n = as_plain(algebra).dim
+    size = n**source
+    _cells(n**target, size)
+    state = {k * (size + 1): 1 for k in range(size)}
+    matrices, tables = {}, {}
+    for generator, left, right in steps:
+        stride = n**right * size
+        f = matrices.get(generator)
+        if f is None:
+            f = matrices[generator] = _generator_matrix(generator, algebra)
+        block = f.rows * stride
+        if n**left * block > MAX_CELLS:
+            _check_step(f, len(state), n**left * f.rows * n**right, size)
+        table = tables.get((generator, stride))
+        if table is None:
+            table = tables[generator, stride] = _strided_columns(f, stride)
+        state = _strand_product(table, f.cols, stride, block, state.items())
+    if Fraction in set(map(type, state.values())):
+        state = dict(zip(state, map(as_rational, state.values())))
+    return n**target, size, state
+
+
 def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
     """The matrix of a word; a word with no slices is the identity on 0 circles.
 
     Raises BudgetError, before any state is built, when the answer has more
     than ``MAX_CELLS`` cells.
     """
-    source, target = validate_word(word)
-    n = as_plain(algebra).dim
-    _cells(n**target, n**source)
-    return dense(_word_nonzeros(word, algebra))
-
-
-def _word_nonzeros(word: CobordismWord, algebra: AnyAlgebra) -> tuple:
-    """The nonzeros of a valid word's matrix, as ``(rows, cols, {flat index: entry})``.
-
-    The caller has refused an answer of more than ``MAX_CELLS`` cells, which
-    bounds the start state: the n**source nonzeros of the identity.  Each
-    non-id generator then acts on its own strands (``layer_product``) after
-    ``_check_step``, so no dense matrix is built.
-    """
-    n = as_plain(algebra).dim
-    size = n**word.source_arity
-    state = (size, size, {k * (size + 1): 1 for k in range(size)})
-    for slice_ in word.slices:
-        # left spans the outputs placed so far, right the inputs still to come
-        left, right = 1, n ** sum(g.arity_in for g in slice_)
-        for generator in slice_:
-            right //= n**generator.arity_in
-            if generator is not Generator.ID:
-                f = _generator_matrix(generator, algebra)
-                _check_step(f, len(state[2]), left * f.rows * right, size)
-                state = layer_product(f, (left, right), state, (1, 1))
-            left *= n**generator.arity_out
-    return state
+    return dense(_run(_compile(word), algebra))
 
 
 def _check_step(f: Matrix, nonzeros: int, rows: int, cols: int) -> None:
@@ -134,8 +170,8 @@ def _check_step(f: Matrix, nonzeros: int, rows: int, cols: int) -> None:
 
     The step applies f to a state of ``nonzeros`` entries and has a
     ``rows x cols`` answer; its bound is ``nonzeros`` times the most
-    nonzeros in one column of f, read from f's column table (the one
-    ``layer_product`` uses) only for a shape over the budget.
+    nonzeros in one column of f, read from f's column table only for a
+    shape over the budget.
     """
     if rows * cols > MAX_CELLS:
         fullest = max(map(len, f._column_table()), default=0)
@@ -145,12 +181,7 @@ def _check_step(f: Matrix, nonzeros: int, rows: int, cols: int) -> None:
 
 def invariant(word: CobordismWord, algebra: AnyAlgebra) -> Rational:
     """Scalar value of a closed word (boundary 0 -> 0)."""
-    source, target = validate_word(word)
-    if (source, target) != (0, 0):
-        raise WordError(
-            f"invariants need a closed word, this one has boundary {source} -> {target}"
-        )
-    return evaluate(word, algebra)[0, 0]
+    return _run(_compile(word, closed=True), algebra)[2].get(0, 0)
 
 
 def surface_invariant(algebra: AnyAlgebra, genus: int, crosscaps: int = 0) -> Rational:
@@ -196,9 +227,9 @@ def _power(m: Matrix, exponent: int, state: Matrix) -> Matrix:
 
 def check_naturality(morphism: FrobeniusMorphism, word: CobordismWord) -> AxiomReport:
     """Exact naturality square of a linear map against one word (see ``naturality_square``)."""
-    source, target = validate_word(word)
-    src, tgt = evaluate(word, morphism.source), evaluate(word, morphism.target)
-    sides = naturality_square(morphism.matrix, src, tgt, source, target)
+    plan = _compile(word)
+    src, tgt = dense(_run(plan, morphism.source)), dense(_run(plan, morphism.target))
+    sides = naturality_square(morphism.matrix, src, tgt, *plan[:2])
     return AxiomReport((compare("naturality", *sides),))
 
 
@@ -238,13 +269,13 @@ def check_monoidal_naturality(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra)
     evaluation against the tensor product has more than ``MAX_CELLS`` cells,
     as ``evaluate`` does.
     """
-    source, target = validate_word(word)
+    source, target, _ = plan = _compile(word)
     na, nb = as_plain(a).dim, as_plain(b).dim
     # bounds both sides, both index tables and the split list
     _cells((na * nb) ** target, (na * nb) ** source)
-    rows, cols, product = _word_nonzeros(word, _tensor_algebras(a, b))
-    _, a_cols, on_a = _word_nonzeros(word, a)
-    _, b_cols, on_b = _word_nonzeros(word, b)
+    rows, cols, product = _run(plan, _tensor_algebras(a, b))
+    _, a_cols, on_a = _run(plan, a)
+    _, b_cols, on_b = _run(plan, b)
     # column c of the product's grouping is column split[c] of the split one
     split = [0] * cols
     col_a, col_b = _paired(source, na, nb)
@@ -278,8 +309,10 @@ def _paired(strands: int, na: int, nb: int) -> tuple:
 
 def check_multiplicativity(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra) -> AxiomReport:
     """Closed-word invariant of a tensor product vs product of invariants."""
-    value = invariant(word, _tensor_algebras(a, b))
-    split = invariant(word, a) * invariant(word, b)
+    product = _tensor_algebras(a, b)
+    plan = _compile(word, closed=True)
+    value, on_a, on_b = (_run(plan, x)[2].get(0, 0) for x in (product, a, b))
+    split = on_a * on_b
     return AxiomReport(
         (compare("multiplicativity", Matrix(1, 1, [value]), Matrix(1, 1, [split])),)
     )

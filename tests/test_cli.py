@@ -463,6 +463,30 @@ def test_eval_of_a_wide_source_word_prints_its_answer(capsys, tmp_path):
     assert out.splitlines() == expect
 
 
+# 16 dimensions with every structure constant 1 (not a Frobenius algebra):
+# comult has 256 nonzeros in every column.  Each word goes from 4 circles to
+# 1, a 16 x 65536 answer inside the budget; comult on the identity's 65536
+# nonzeros is a step past it, and phi needs an extended algebra.  The first
+# step that raises decides the line, after the word's own checks.
+@pytest.mark.parametrize("text, line", [
+    ("unoriented\ncomult, id, id, id\nmult, mult, phi\nmult, id\nmult\n",
+     "a 1048576x65536 matrix has 68719476736 cells, over the budget of 8388608"),
+    ("unoriented\nphi, id, id, id\ncomult, id, id, id\nmult, mult, id\nmult, id\nmult\n",
+     "generator 'phi' needs an extended Frobenius algebra, but 'dense' has no extended structure"),
+    ("unoriented\ncomult, id, id, id\nmult, mult, phi\nmult, id\nmult\nmult\n",
+     "slice 5: expects 2 input circle(s), previous slice provides 1"),
+], ids=["budget first", "phi first", "malformed"])
+def test_eval_errors_come_from_the_first_step_that_raises_them(capsys, tmp_path, text, line):
+    n = 16
+    table = [[[1] * n] * n] * n
+    doc = {"name": "dense", "dim": n, "basis": [f"e{i}" for i in range(n)],
+           "mult": table, "unit": [1] * n, "counit": [1] * n, "comult": table}
+    algebra, path = tmp_path / "dense.json", tmp_path / "word.cob"
+    algebra.write_text(json.dumps(doc))
+    path.write_text(text)
+    assert run(capsys, "eval", str(path), str(algebra)) == (2, "", f"error: {line}\n")
+
+
 def test_unknown_subcommand_is_exit_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()

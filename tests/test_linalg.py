@@ -539,3 +539,24 @@ def test_record_replace_checks_the_new_value():
         group_algebra_z2_extended().replace(point=identity(2))
     with pytest.raises(WordError):
         CobordismWord("oriented", ()).replace(orientation="sideways")
+
+
+def stored_as_ints(m: Matrix) -> bool:
+    """No entry of ``m`` is an integral ``Fraction``."""
+    return all(type(x) is int or x.denominator > 1 for x in m.entries)
+
+
+def test_products_store_an_integral_fraction_as_an_int():
+    # the group algebra of Z2 in a Fraction basis: integral structure
+    # constants come out of sums and products of Fractions
+    mult = group_algebra_z2().mult
+    half = Fraction(1, 2)
+    b = Matrix(2, 2, [half, half, half, 2])
+    moved = compose(inverse(b), mult, kron(b, b))
+    assert moved.entries == (1, Fraction(5, 2), Fraction(5, 2), 10, 0, 0, 0, Fraction(-3, 2))
+    back = compose(b, moved, kron(inverse(b), inverse(b)))
+    assert back == mult
+    state = (1, 3, {0: Fraction(4, 2), 2: half})
+    for m in (moved, back, kron(b, inverse(b)), compose(b, inverse(b)), to_matrix(state)):
+        assert stored_as_ints(m), m
+    assert to_matrix(state).entries == (2, 0, half)

@@ -9,12 +9,14 @@ import pytest
 
 from frob2d import tqft
 from frob2d.cobordism import (
+    GENERATORS_BY_LABEL,
     CobordismWord,
     Generator,
     WordError,
     closed_oriented_surface,
     closed_unoriented_surface,
     identity_word,
+    parse_word,
 )
 from frob2d.examples import (
     dual_numbers,
@@ -28,6 +30,7 @@ from frob2d.examples import (
     split_pair_extended,
 )
 from frob2d.frobenius import (
+    FrobeniusAlgebra,
     FrobeniusMorphism,
     check_extended,
     check_frobenius,
@@ -741,3 +744,106 @@ def test_surface_invariant_rejects_bad_counts():
         surface_invariant(group_algebra_z2_extended(), 0, -1)
     with pytest.raises(ExtendedRequiredError):
         surface_invariant(group_algebra_z2(), 0, 1)
+
+
+# -- one validation and one plan per call -------------------------------------
+
+
+def test_each_word_function_validates_its_word_once(monkeypatch):
+    seen = []
+    validate = tqft.validate_word
+    monkeypatch.setattr(tqft, "validate_word", lambda w: seen.append(w) or validate(w))
+    z2, kxk = group_algebra_z2(), split_pair()
+    torus, pants = closed_oriented_surface(1), word([MULT], [COMULT])
+    negate = FrobeniusMorphism(z2, z2, Matrix(2, 2, [1, 0, 0, -1]))
+    calls = {
+        "evaluate": lambda: evaluate(pants, z2),
+        "invariant": lambda: invariant(torus, z2),
+        "check_naturality": lambda: check_naturality(negate, pants),
+        "check_monoidal_naturality": lambda: check_monoidal_naturality(pants, z2, kxk),
+        "check_multiplicativity": lambda: check_multiplicativity(torus, z2, kxk),
+    }
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert len(seen) == 1, name
+
+
+def test_the_plan_route_matches_the_oracle_on_a_seeded_sweep():
+    # the state the plan leaves holds the word's nonzeros and no integral Fraction
+    rng = random.Random(81)
+    z2, kxk, kxke = group_algebra_z2(), split_pair(), split_pair_extended()
+    moved, _ = in_fraction_basis(kxke, rng)
+    sweeps = (
+        (z2, oracles.Z2_TABLES, random_words(20, seed=82, max_strands=6)),
+        (kxke, oracles.KXK_EXT_TABLES, random_words(20, seed=83, max_strands=6, unoriented=True)),
+        (moved, tables_of(moved), random_words(20, seed=84, max_strands=4, unoriented=True)),
+        (tensor(z2, kxk), oracles.tensor_tables(oracles.Z2_TABLES, oracles.KXK_TABLES),
+         random_words(8, seed=85, max_strands=4)),
+    )
+    fractions = set()
+    for algebra, tables, words in sweeps:
+        for w in words:
+            labels = [[g.label for g in s] for s in w.slices]
+            rows, cols, nonzeros = tqft._run(tqft._compile(w), algebra)
+            expect = oracles.word_matrix(labels, tables, w.source_arity)
+            assert (rows, cols) == (len(expect), len(expect[0])), labels
+            assert nonzeros == {i * cols + j: x for i, row in enumerate(expect)
+                                for j, x in enumerate(row) if x}, labels
+            assert all(type(x) is int or x.denominator > 1 for x in nonzeros.values())
+            fractions.update(type(x) for x in nonzeros.values())
+    assert fractions == {int, Fraction}
+
+
+def dense_comult_algebra():
+    """16 dimensions and 256 nonzeros in every column of comult (not a Frobenius algebra)."""
+    n = 16
+    ones = [1] * n**3
+    return FrobeniusAlgebra("dense", [f"e{i}" for i in range(n)], Matrix(n, n * n, ones),
+                            Matrix(n, 1, [1] * n), Matrix(1, n, [1] * n), Matrix(n * n, n, ones))
+
+
+# Words from 4 circles to 1 on 16 dimensions: 16 x 65536 answers, inside the
+# budget.  comult on the identity's 65536 nonzeros is a 1048576 x 65536 step
+# whose bound, 65536 * 256 nonzeros, also passes the budget; phi needs an
+# extended algebra.  Each error comes from the first step that raises it.
+STEP_ORDER = {
+    "budget first": (
+        "unoriented\ncomult, id, id, id\nmult, mult, phi\nmult, id\nmult\n",
+        BudgetError, "a 1048576x65536 matrix has 68719476736 cells, over the budget of 8388608",
+    ),
+    "phi first": (
+        "unoriented\nphi, id, id, id\ncomult, id, id, id\nmult, mult, id\nmult, id\nmult\n",
+        ExtendedRequiredError,
+        "generator 'phi' needs an extended Frobenius algebra, "
+        "but 'dense' has no extended structure",
+    ),
+    "malformed": (
+        "unoriented\ncomult, id, id, id\nmult, mult, phi\nmult, id\nmult\nmult\n",
+        WordError, "slice 5: expects 2 input circle(s), previous slice provides 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_ORDER))
+def test_errors_come_from_the_first_step_that_raises_them(case):
+    text, error, line = STEP_ORDER[case]
+    lines = text.splitlines()
+    w = word(*[[GENERATORS_BY_LABEL[t.strip()] for t in l.split(",")] for l in lines[1:]],
+             orientation=lines[0])
+    with pytest.raises(error) as raised:
+        evaluate(w, dense_comult_algebra())
+    assert str(raised.value) == line
+
+
+def test_a_monoidal_witness_holds_an_int_for_an_integral_sum(monkeypatch):
+    # one comult constant of D*D bumped by 1/2: the failing entry sums to 2
+    d = dual_numbers()
+    product = tensor(d, d)
+    entries = list(product.comult.entries)
+    entries[13] += Fraction(1, 2)
+    broken = product.replace(comult=Matrix(16, 4, entries))
+    monkeypatch.setattr(tqft, "_tensor_algebras", lambda x, y: broken)
+    w = parse_word("oriented\ncomult, swap, cap\nmult, comult, cap\n")
+    (check,) = check_monoidal_naturality(w, d, d).checks
+    assert repr(check.witness) == "Witness(row=51, col=87, lhs=2, rhs=0)"
