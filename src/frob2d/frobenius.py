@@ -26,6 +26,8 @@ that acts on chosen strands goes through ``linalg.compose_layers``, the
 dense form of the same product, with no padded layer either: ``tensor``'s
 multiplication and comultiplication, ``derive_comult``, the crosscap side
 and both sides of ``naturality_square``, which every morphism diagram is.
+``compose`` and ``kron`` are such products too (unpadded, and
+``(I (x) g) . (f (x) I)``), so every side here comes from one kernel.
 """
 
 from __future__ import annotations

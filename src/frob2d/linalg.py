@@ -17,17 +17,19 @@ package:
   padded layers ``kron(identity(l), f, identity(r))`` from the nonzeros
   of ``f`` and ``g`` alone and returns the product as a state, so no
   padded layer is built and a sparse product is never laid out densely.
-  Its right factor ``g`` may be a ``Matrix`` or a state.  Its one kernel,
-  ``_strand_product`` (``f`` on the middle strands of ``g``, once per cell
-  of g's pad), is also what ``tqft`` runs once per step of a word.  ``dense``
-  lays a state out as a ``Matrix`` and ``compose_layers`` is the product
-  as a ``Matrix``.  ``Matrix.nonzeros()`` lists (and remembers) a
-  matrix's nonzero entries for these loops.  The left factor ``f`` is
-  also read through a second memo, its column table (the ``(row, entry)``
-  pairs of each column), built once per matrix; a right factor is read as
-  it comes and, when read only once, keeps no memo of either kind.  Memos
-  are left out of ``==``, ``hash``, repr, copies and pickles.
-* ``compose``, ``kron`` and ``dense`` store an integral ``Fraction`` as an int.
+  Its right factor ``g`` may be a ``Matrix`` or a state.  Every product in
+  the package runs one kernel, ``_strand_product`` (``f`` on the middle
+  strands of ``g``, once per cell of g's pad): ``layer_product``, each
+  step of a ``tqft`` word, ``compose`` (two unpadded layers) and ``kron``
+  (``(I (x) g) . (f (x) I)``).  ``compose_layers`` is the product as a
+  ``Matrix``, laid out by ``dense``, the one place where a state becomes a
+  ``Matrix`` and an integral ``Fraction`` is stored as an int.
+  ``Matrix.nonzeros()`` lists (and remembers) a matrix's nonzero entries
+  for the kernel.  The left factor ``f`` is also read through a second
+  memo, its column table (the ``(row, entry)`` pairs of each column),
+  built once per matrix; a right factor is read as it comes and, when read
+  only once, keeps no memo of either kind.  Memos are left out of ``==``,
+  ``hash``, repr, copies and pickles.
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
   A state may stand for a matrix far larger than the budget:
@@ -260,74 +262,27 @@ def identity(n: int) -> Matrix:
 
 def compose(f: Matrix, g: Matrix, *rest: Matrix) -> Matrix:
     """Matrix product ``f . g`` (g acts first); extra factors keep multiplying on the right."""
-    if rest:
-        out = compose(f, g)
-        for m in rest:
-            out = compose(out, m)
-        return out
     if f.cols != g.rows:
         raise ShapeError(
             f"cannot compose {f.rows}x{f.cols} with {g.rows}x{g.cols}: {f.cols} != {g.rows}"
         )
-    gcols = g.cols
-    fe, ge = f.entries, g.entries
-    out = [0] * _cells(f.rows, gcols)
-    for i in range(f.rows):
-        fbase = i * f.cols
-        obase = i * gcols
-        for k in range(f.cols):
-            a = fe[fbase + k]
-            if not a:
-                continue
-            gbase = k * gcols
-            if a == 1:
-                for j in range(gcols):
-                    b = ge[gbase + j]
-                    if b:
-                        out[obase + j] = out[obase + j] + b
-            else:
-                for j in range(gcols):
-                    b = ge[gbase + j]
-                    if b:
-                        out[obase + j] = out[obase + j] + a * b
-    return Matrix._raw(f.rows, gcols, _stored(out, out))  # usually fewer cells than f and g
-
-
-def _stored(values: list, inputs) -> tuple:
-    """``values``, integral ``Fraction``s as ints; read only if ``inputs`` hold a Fraction."""
-    if Fraction in set(map(type, inputs)):
-        return tuple(map(as_rational, values))
-    return tuple(values)
+    out = compose_layers(f, (1, 1), g, (1, 1))
+    return compose(out, *rest) if rest else out
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:
     """Kronecker product with the left factor major (see module docstring)."""
-    rows = f.rows * g.rows
-    cols = f.cols * g.cols
-    out = [0] * _cells(rows, cols)
-    fe, ge = f.entries, g.entries
-    for i1 in range(f.rows):
-        for j1 in range(f.cols):
-            a = fe[i1 * f.cols + j1]
-            if not a:
-                continue
-            unit = a == 1
-            for i2 in range(g.rows):
-                obase = (i1 * g.rows + i2) * cols + j1 * g.cols
-                gbase = i2 * g.cols
-                for j2 in range(g.cols):
-                    b = ge[gbase + j2]
-                    if b:
-                        out[obase + j2] = b if unit else a * b
-    return Matrix._raw(rows, cols, _stored(out, itertools.chain(fe, ge)))
+    return compose_layers(g, (f.rows, 1), f, (1, g.cols))  # (I (x) g) . (f (x) I)
 
 
 def _layer_shape(f: Matrix, f_pad: tuple, g_rows: int, g_cols: int, g_pad: tuple) -> tuple:
-    """The shape of the product of two padded layers, or ShapeError if they do not meet."""
+    """The shape of the product of two padded layers; ShapeError for a negative pad or misfit."""
     (fl, fr), (gl, gr) = f_pad, g_pad
-    if fl * f.cols * fr != gl * g_rows * gr:
+    negative = min(fl, fr, gl, gr) < 0
+    if negative or fl * f.cols * fr != gl * g_rows * gr:
         raise ShapeError(
-            f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g_rows}x{g_cols}|{gr}"
+            ("negative pad: " if negative else "")
+            + f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g_rows}x{g_cols}|{gr}"
         )
     return fl * f.rows * fr, gl * g_cols * gr
 
@@ -401,9 +356,12 @@ def dense(state: tuple) -> Matrix:
     """The ``Matrix`` of a state ``(rows, cols, {flat index: entry})``, refused over MAX_CELLS."""
     rows, cols, nonzeros = state
     out = [0] * _cells(rows, cols)
-    for k, x in nonzeros.items():
+    items = nonzeros.items()
+    if Fraction in set(map(type, nonzeros.values())):  # an integral Fraction is stored as an int
+        items = ((k, as_rational(x)) for k, x in items)
+    for k, x in items:
         out[k] = x
-    return Matrix._raw(rows, cols, _stored(out, nonzeros.values()))
+    return Matrix._raw(rows, cols, tuple(out))
 
 
 def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:

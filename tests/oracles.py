@@ -83,6 +83,22 @@ def surface_invariant(tables, genus, crosscaps=0):
     return counit_of(tables, v)
 
 
+# A nested-list matrix is a list of rows; its column count is passed along,
+# since a matrix with no rows does not show it.
+
+
+def matmul(a, b, b_cols):
+    """The product ``a . b`` of nested-list matrices, by the sum over ``b``'s rows."""
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(b_cols)]
+            for row in a]
+
+
+def kron(a, b, a_cols, b_cols):
+    """The Kronecker product of nested-list matrices, ``a``'s index major."""
+    return [[a[i1][j1] * b[i2][j2] for j1 in range(a_cols) for j2 in range(b_cols)]
+            for i1 in range(len(a)) for i2 in range(len(b))]
+
+
 def frobenius_failures(tables):
     """Names of the ten axiom checks the tables fail, by direct coefficient sums."""
     n = dim(tables)

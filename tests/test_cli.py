@@ -213,6 +213,20 @@ def test_tensor_refuses_broken_input(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_tensor_over_the_size_budget_is_exit_2(capsys, tmp_path):
+    # the split algebra of dimension 17 (idempotent basis, counit all 1)
+    # passes its checks; the multiplication of its tensor square does not fit
+    n = 17
+    split = [[[int(i == j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    doc = {"name": "s17", "dim": n, "basis": [f"e{i}" for i in range(n)],
+           "mult": split, "unit": [1] * n, "counit": [1] * n, "comult": split}
+    algebra, out_path = tmp_path / "s17.json", tmp_path / "out.json"
+    algebra.write_text(json.dumps(doc))
+    assert run(capsys, "tensor", str(algebra), str(algebra), "-o", str(out_path)) == (
+        2, "", "error: a 289x83521 matrix has 24137569 cells, over the budget of 8388608\n")
+    assert not out_path.exists()
+
+
 def test_naturality_dictionary_passing(capsys):
     code, out, err = run(capsys, "naturality", DATA["identity_d.json"],
                          DATA["dual_numbers.json"], DATA["dual_numbers.json"])

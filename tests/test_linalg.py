@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from frob2d.linalg import (
     layer_product,
 )
 from frob2d.report import AxiomReport, CheckResult, Witness, compare, compare_nonzeros
+
+import oracles
 
 scalars = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -196,9 +199,32 @@ def test_matrix_requires_consistent_entry_count():
         Matrix(2, 2, [1, 2, 3])
 
 
+def nested(m):
+    """The rows of ``m`` as lists, for the oracles."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def flat(rows, cols, table):
+    """The ``Matrix`` of an oracle's nested-list answer."""
+    return Matrix(rows, cols, [x for row in table for x in row])
+
+
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def padded(f, pad):
+    """The layer ``I_left (x) f (x) I_right`` as a nested list, by ``oracles.kron``."""
     left, right = pad
-    return kron(kron(identity(left), f), identity(right))
+    return oracles.kron(oracles.kron(eye(left), nested(f), left, f.cols), eye(right),
+                        left * f.cols, right)
+
+
+def padded_product(f, f_pad, g, g_pad):
+    """``compose_layers``' answer from the oracles: the two padded layers multiplied."""
+    cols = g_pad[0] * g.cols * g_pad[1]
+    product = oracles.matmul(padded(f, f_pad), padded(g, g_pad), cols)
+    return flat(len(product), cols, product)
 
 
 @st.composite
@@ -227,7 +253,7 @@ def layer_pairs(draw):
 @settings(max_examples=80, deadline=None)
 def test_compose_layers_equals_product_of_padded_layers(case):
     f, f_pad, g, g_pad = case
-    assert compose_layers(f, f_pad, g, g_pad) == compose(padded(f, f_pad), padded(g, g_pad))
+    assert compose_layers(f, f_pad, g, g_pad) == padded_product(f, f_pad, g, g_pad)
 
 
 def test_layer_product_reuses_a_memo_but_stores_none():
@@ -273,7 +299,7 @@ def test_one_left_factor_serves_every_pad_and_stride(case):
     f, uses = case
     for f_pad, g, g_pad in uses:
         product = layer_product(f, f_pad, g, g_pad)
-        assert to_matrix(product) == compose(padded(f, f_pad), padded(g, g_pad))
+        assert to_matrix(product) == padded_product(f, f_pad, g, g_pad)
     assert f._columns is not None
 
 
@@ -302,6 +328,20 @@ def test_layer_product_takes_a_state_past_the_cell_budget():
 def test_compose_layers_rejects_mismatched_layers():
     with pytest.raises(ShapeError, match=r"1\|2x4\|1 with 3\|2x2\|1"):
         compose_layers(Matrix(2, 4, [0] * 8), (1, 1), identity(2), (3, 1))
+
+
+def test_negative_pads_are_refused_and_zero_pads_are_not():
+    m = Matrix(2, 2, [1, 2, 3, 4])
+    for f_pad, g_pad in (((-1, 1), (-1, 1)), ((1, -1), (1, 1)), ((1, 1), (1, -2)),
+                         ((0, 1), (-1, 0))):
+        for product in (compose_layers, layer_product):
+            with pytest.raises(ShapeError, match=r"^negative pad: cannot compose"):
+                product(m, f_pad, m, g_pad)
+    # a pad of 0 is an empty layer: kron of a matrix with no rows needs one
+    assert layer_product(m, (0, 1), m, (1, 0)) == (0, 0, {})
+    assert compose_layers(m, (0, 1), m, (1, 0)) == Matrix(0, 0, [])
+    assert kron(Matrix(0, 3, []), m) == Matrix(0, 6, [])
+    assert kron(m, Matrix(2, 0, [])) == Matrix(4, 0, [])
 
 
 def test_layer_product_drops_sums_that_cancel():
@@ -560,3 +600,27 @@ def test_products_store_an_integral_fraction_as_an_int():
     for m in (moved, back, kron(b, inverse(b)), compose(b, inverse(b)), to_matrix(state)):
         assert stored_as_ints(m), m
     assert to_matrix(state).entries == (2, 0, half)
+
+
+def test_compose_and_kron_match_the_oracles_on_a_seeded_sweep():
+    # ints and Fractions, dimensions from 0; a sum of Fractions may be
+    # integral, and the product stores it as an int
+    rng = random.Random(15)
+    values = (0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
+
+    def draw(rows, cols):
+        return Matrix(rows, cols, [rng.choice(values) for _ in range(rows * cols)])
+
+    integral_sums = empty = 0
+    for _ in range(400):
+        a, b, c, d = (rng.randint(0, 3) for _ in range(4))
+        f, g, h = draw(a, b), draw(b, c), draw(c, d)
+        expect = oracles.matmul(nested(f), nested(g), c)
+        integral_sums += sum(type(x) is Fraction and x.denominator == 1
+                             for row in expect for x in row)
+        empty += 0 in (a, b, c, d)
+        product, tensor_product = compose(f, g), kron(f, h)
+        assert product == flat(a, c, expect) and stored_as_ints(product)
+        assert tensor_product == flat(a * c, b * d, oracles.kron(nested(f), nested(h), b, d))
+        assert stored_as_ints(tensor_product)
+    assert integral_sums > 50 and empty > 50
