@@ -70,7 +70,7 @@ from .linalg import (
     kron,
     layer_product,
 )
-from .report import AxiomReport, CheckResult, Witness, compare, compare_nonzeros
+from .report import AxiomReport, CheckResult, Witness, compare_nonzeros
 from .tqft import (
     ExtendedRequiredError,
     check_monoidal_naturality,
@@ -79,8 +79,6 @@ from .tqft import (
     evaluate,
     invariant,
     naturality_dictionary,
-    random_word,
-    random_words,
     surface_invariant,
 )
 

@@ -13,21 +13,16 @@ with the basis vector ``e_i (x) e_j`` of the tensor square at flat index
 distinguished point ``n x 1``.
 
 The axiom checks work on the structure constants directly.  Every side
-of ``check_frobenius`` is a product of structure matrices computed from
-their nonzeros: ``mult . (mult (x) id)``, ``(comult (x) id) . comult``,
-``(counit (x) id) . comult``, ``comult . mult`` and the Frobenius sides come
-from ``linalg.layer_product`` as a map from flat index to nonzero entry,
-commutativity and cocommutativity permute the nonzeros of ``mult`` and
-``comult``, and ``report.compare_nonzeros`` finds the same first witness
-``compare`` would find on the dense sides.  No padded layer, braiding
-matrix or dense side larger than the inputs is built, so the cost follows
-the nonzeros: tensor products are almost all zeros.  Every other map
-that acts on chosen strands goes through ``linalg.compose_layers``, the
-dense form of the same product, with no padded layer either: ``tensor``'s
-multiplication and comultiplication, ``derive_comult``, the crosscap side
-and both sides of ``naturality_square``, which every morphism diagram is.
-``compose`` and ``kron`` are such products too (unpadded, and
-``(I (x) g) . (f (x) I)``), so every side here comes from one kernel.
+of every check is a state, ``(rows, cols, {flat index: entry})``, built by
+``linalg.layer_product`` from the nonzeros of the structure matrices
+(``mult . (mult (x) id)``, ``(comult (x) id) . comult``, the Frobenius
+sides, theta^2 and both sides of ``naturality_square``, which every
+morphism diagram is), or, for commutativity and cocommutativity, by
+permuting the nonzeros of ``mult`` and ``comult``.  ``report.compare_nonzeros``
+compares each pair.  No padded layer, braiding matrix or dense side is
+built, so the cost follows the nonzeros: tensor products are almost all
+zeros.  ``tensor`` and ``derive_comult`` build structure matrices with
+``linalg.compose_layers``, the dense form of the same product.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from .linalg import (
     kron,
     layer_product,
 )
-from .report import AxiomReport, CheckResult, compare, compare_nonzeros
+from .report import AxiomReport, CheckResult, compare_nonzeros
 
 
 _NO_PAD = (1, 1)  # the pad of a layer with no identity strands
@@ -243,36 +238,44 @@ def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
     return AxiomReport(checks)
 
 
-def _sparse(m: Matrix) -> tuple:
-    """A matrix as ``(rows, cols, {flat index: entry})`` over its nonzeros."""
+def _sparse(m) -> tuple:
+    """A matrix as ``(rows, cols, {flat index: entry})`` over its nonzeros; a state as it is."""
+    if isinstance(m, tuple):
+        return m
     return m.rows, m.cols, dict(m.nonzeros())
 
 
-def naturality_square(f: Matrix, source_map: Matrix, target_map: Matrix,
-                      arity_in: int, arity_out: int) -> tuple[Matrix, Matrix]:
+def naturality_square(f: Matrix, source_map, target_map, arity_in: int, arity_out: int) -> tuple:
     """The sides ``(f^(x)out . source_map, target_map . f^(x)in)`` of a naturality square.
 
-    f acts one strand at a time through ``compose_layers``, as the left
-    factor on the outputs of ``source_map`` and as the right factor on the
-    inputs of ``target_map``.
+    The maps are matrices or states and the sides are states, built by
+    ``layer_product`` one strand at a time, so no power of f is built: f
+    acts on each output of ``source_map``, and f^T on each input of
+    ``target_map^T``, which builds the right side transposed and keeps the
+    kernel's left factor a matrix.
     """
-    left = source_map
+    f_t = Matrix._raw(f.cols, f.rows, tuple(x for j in range(f.cols) for x in f.entries[j::f.cols]))
+    left, right = _sparse(source_map), _transposed(_sparse(target_map))
     for k in range(arity_out):
-        left = compose_layers(f, (f.rows**k, f.cols ** (arity_out - 1 - k)), left, _NO_PAD)
-    right = target_map
-    for k in reversed(range(arity_in)):
-        right = compose_layers(right, _NO_PAD, f, (f.rows**k, f.cols ** (arity_in - 1 - k)))
-    return left, right
+        left = layer_product(f, (f.rows**k, f.cols ** (arity_out - 1 - k)), left, _NO_PAD)
+    for k in range(arity_in):
+        right = layer_product(f_t, (f.cols**k, f.rows ** (arity_in - 1 - k)), right, _NO_PAD)
+    return left, _transposed(right)
+
+
+def _transposed(state: tuple) -> tuple:
+    rows, cols, nonzeros = state
+    return cols, rows, {k % cols * rows + k // cols: x for k, x in nonzeros.items()}
 
 
 def check_morphism(f: FrobeniusMorphism) -> AxiomReport:
     """The unit, mult, counit and comult squares; counit and comult list their right side first."""
     a, b, g = as_plain(f.source), as_plain(f.target), f.matrix
     return AxiomReport((
-        compare("unit", *naturality_square(g, a.unit, b.unit, 0, 1)),
-        compare("mult", *naturality_square(g, a.mult, b.mult, 2, 1)),
-        compare("counit", *reversed(naturality_square(g, a.counit, b.counit, 1, 0))),
-        compare("comult", *reversed(naturality_square(g, a.comult, b.comult, 1, 2))),
+        compare_nonzeros("unit", *naturality_square(g, a.unit, b.unit, 0, 1)),
+        compare_nonzeros("mult", *naturality_square(g, a.mult, b.mult, 2, 1)),
+        compare_nonzeros("counit", *reversed(naturality_square(g, a.counit, b.counit, 1, 0))),
+        compare_nonzeros("comult", *reversed(naturality_square(g, a.comult, b.comult, 1, 2))),
     ))
 
 
@@ -285,18 +288,23 @@ def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
     crosscap (theta^2 equals mult . (phi (x) id) . comult . unit); and the
     implied phi_fixes_theta, reported separately for diagnosis.
 
-    Like ``check_frobenius``, every side comes from the structure constants:
-    multiplication by theta is ``mult . (theta (x) id)`` over the nonzeros
-    of both, theta^2 is that map applied to theta, and the right-hand side
-    of crosscap applies phi to one leg of ``comult . unit``.
+    Like ``check_frobenius``, every side is a state built by
+    ``layer_product`` from the structure constants: multiplication by theta
+    is ``mult . (theta (x) id)``, theta^2 is ``mult . (theta (x) theta)``,
+    and the right-hand side of crosscap applies phi to one leg of
+    ``comult . unit``.
     """
     base, phi, theta = algebra.base, algebra.involution, algebra.point
-    times_theta = compose_layers(base.mult, _NO_PAD, theta, (1, base.dim))
+    times_theta = layer_product(base.mult, _NO_PAD, theta, (1, base.dim))
+    theta_theta = layer_product(theta, (1, base.dim), theta, _NO_PAD)
     return AxiomReport((
         *_phi_checks(base, phi),
-        compare("theta_multiplication_fixed", compose(phi, times_theta), times_theta),
-        compare("crosscap", compose(times_theta, theta), _crosscap_rhs(base, phi)),
-        compare("phi_fixes_theta", compose(phi, theta), theta),
+        compare_nonzeros("theta_multiplication_fixed",
+                         layer_product(phi, _NO_PAD, times_theta, _NO_PAD), times_theta),
+        compare_nonzeros("crosscap", layer_product(base.mult, _NO_PAD, theta_theta, _NO_PAD),
+                         _crosscap_rhs(base, phi)),
+        compare_nonzeros("phi_fixes_theta", layer_product(phi, _NO_PAD, theta, _NO_PAD),
+                         _sparse(theta)),
     ))
 
 
@@ -304,15 +312,17 @@ def _phi_checks(base: FrobeniusAlgebra, phi: Matrix) -> tuple[CheckResult, ...]:
     """The involution and phi_* checks: the part of check_extended free of theta."""
     morphism = check_morphism(FrobeniusMorphism(base, base, phi))
     return (
-        compare("involution", compose(phi, phi), identity(base.dim)),
+        compare_nonzeros("involution", layer_product(phi, _NO_PAD, phi, _NO_PAD),
+                         _sparse(identity(base.dim))),
         *(CheckResult("phi_" + c.name, c.passed, c.witness) for c in morphism.checks),
     )
 
 
-def _crosscap_rhs(base: FrobeniusAlgebra, phi: Matrix) -> Matrix:
-    """``mult . (phi (x) id) . comult . unit``, the side of crosscap free of theta."""
-    copairing = compose(base.comult, base.unit)
-    return compose(base.mult, compose_layers(phi, (1, base.dim), copairing, _NO_PAD))
+def _crosscap_rhs(base: FrobeniusAlgebra, phi: Matrix) -> tuple:
+    """``mult . (phi (x) id) . comult . unit``, the side of crosscap free of theta, as a state."""
+    copairing = layer_product(base.comult, _NO_PAD, base.unit, _NO_PAD)
+    twisted = layer_product(phi, (1, base.dim), copairing, _NO_PAD)
+    return layer_product(base.mult, _NO_PAD, twisted, _NO_PAD)
 
 
 def _theta_conditions(base: FrobeniusAlgebra, phi: Matrix) -> tuple[list, list]:
@@ -339,8 +349,8 @@ def _theta_conditions(base: FrobeniusAlgebra, phi: Matrix) -> tuple[list, list]:
     for index, x in base.mult.nonzeros():
         r, col = divmod(index, n * n)
         terms[r].append((*divmod(col, n), x))
-    rhs = _crosscap_rhs(base, phi).entries
-    return linear, list(zip(terms, rhs))
+    rhs = _crosscap_rhs(base, phi)[2]
+    return linear, [(t, rhs.get(r, 0)) for r, t in enumerate(terms)]
 
 
 def check_extended_morphism(f: FrobeniusMorphism) -> AxiomReport:
@@ -349,8 +359,8 @@ def check_extended_morphism(f: FrobeniusMorphism) -> AxiomReport:
     if not all(isinstance(x, ExtendedFrobeniusAlgebra) for x in (source, target)):
         raise TypeError("extended morphism checks need extended source and target")
     checks = check_morphism(f).checks + (
-        compare("theta", *naturality_square(g, source.point, target.point, 0, 1)),
-        compare("phi", *naturality_square(g, source.involution, target.involution, 1, 1)),
+        compare_nonzeros("theta", *naturality_square(g, source.point, target.point, 0, 1)),
+        compare_nonzeros("phi", *naturality_square(g, source.involution, target.involution, 1, 1)),
     )
     return AxiomReport(checks)
 

@@ -1,10 +1,10 @@
-"""Named exact-identity checks and the reports that collect them."""
+"""Named exact identities between states, ``(rows, cols, {flat index: entry})``, and reports."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .linalg import Matrix, Rational, Record, ShapeError
+from .linalg import Rational, Record, ShapeError, as_rational
 
 _set = object.__setattr__  # sets a Record's field once, in its __init__
 
@@ -69,25 +69,12 @@ class AxiomReport(Record):
         return [c.line() for c in self.checks]
 
 
-def compare(name: str, lhs: Matrix, rhs: Matrix) -> CheckResult:
-    """One named check: exact equality of two equally-shaped matrices."""
-    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
-        raise ShapeError(
-            f"check {name!r} compares {lhs.rows}x{lhs.cols} with {rhs.rows}x{rhs.cols}"
-        )
-    if lhs.entries == rhs.entries:
-        return CheckResult(name, True)
-    for index, (x, y) in enumerate(zip(lhs.entries, rhs.entries)):
-        if x != y:
-            return CheckResult(name, False, Witness(index // lhs.cols, index % lhs.cols, x, y))
-    raise AssertionError("unreachable: unequal tuples with equal elements")
-
-
 def compare_nonzeros(name: str, lhs: tuple, rhs: tuple) -> CheckResult:
-    """``compare`` on sides given by their nonzeros, as ``(rows, cols, {flat index: entry})``.
+    """One named check: exact equality of two states of the same shape (else ShapeError).
 
-    The result, witness included, is the one ``compare`` gives for the
-    dense forms of the two sides; an entry equal to zero counts as absent.
+    A zero entry counts as absent.  A failed check's witness is the first
+    differing entry in row-major order, as the dense sides hold it (an
+    integral ``Fraction`` as an int).
     """
     (rows, cols, left), (rhs_rows, rhs_cols, right) = lhs, rhs
     if (rows, cols) != (rhs_rows, rhs_cols):
@@ -96,6 +83,5 @@ def compare_nonzeros(name: str, lhs: tuple, rhs: tuple) -> CheckResult:
     if not differ:
         return CheckResult(name, True)
     index = min(differ)
-    return CheckResult(
-        name, False, Witness(index // cols, index % cols, left.get(index, 0), right.get(index, 0))
-    )
+    lhs_entry, rhs_entry = as_rational(left.get(index, 0)), as_rational(right.get(index, 0))
+    return CheckResult(name, False, Witness(index // cols, index % cols, lhs_entry, rhs_entry))

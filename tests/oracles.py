@@ -99,6 +99,18 @@ def kron(a, b, a_cols, b_cols):
             for i1 in range(len(a)) for i2 in range(len(b))]
 
 
+def first_difference(lhs, rhs):
+    """``(row, col, x, y)`` of the first differing entry of two equally shaped matrices, or None.
+
+    Entries are read in row-major order, as a failed check's witness is.
+    """
+    for i, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs)):
+        for j, (x, y) in enumerate(zip(lhs_row, rhs_row)):
+            if x != y:
+                return i, j, x, y
+    return None
+
+
 def frobenius_failures(tables):
     """Names of the ten axiom checks the tables fail, by direct coefficient sums."""
     n = dim(tables)

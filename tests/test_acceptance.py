@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import oracles
+from helpers import random_words
 from frob2d import (
     check_extended,
     check_extended_morphism,
@@ -24,7 +25,6 @@ from frob2d import (
     data_path,
     invariant,
     naturality_dictionary,
-    random_words,
     search_theta,
     tensor,
     tensor_extended,

@@ -48,9 +48,10 @@ from frob2d.linalg import (
     inverse,
     kron,
 )
-from frob2d.report import AxiomReport, CheckResult, compare
+from frob2d.report import AxiomReport, CheckResult
 
 import oracles
+from helpers import compare
 
 
 def test_battery_passes_all_named_checks():
@@ -459,7 +460,19 @@ def dense_check_extended(algebra):
 
 def assert_same_report(fast, dense):
     assert fast == dense  # names, pass flags, witness row, column, lhs and rhs
+    assert repr(fast) == repr(dense)  # and the witnesses' types
     assert fast.lines() == dense.lines()
+
+
+def test_a_failed_check_stores_an_integral_witness_as_an_int():
+    # associativity's right side at (0, 1) sums Fractions to 1
+    d = dual_numbers()
+    entries = list(d.mult.entries)
+    entries[1] += Fraction(1, 2)
+    report = check_frobenius(d.replace(mult=Matrix(d.mult.rows, d.mult.cols, entries)))
+    assert repr(report.check("associativity").witness) == (
+        "Witness(row=0, col=1, lhs=Fraction(1, 2), rhs=1)"
+    )
 
 
 def bump(matrix, rng):

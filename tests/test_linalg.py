@@ -30,9 +30,10 @@ from frob2d.linalg import (
     kron,
     layer_product,
 )
-from frob2d.report import AxiomReport, CheckResult, Witness, compare, compare_nonzeros
+from frob2d.report import AxiomReport, CheckResult, Witness, compare_nonzeros
 
 import oracles
+from helpers import compare
 
 scalars = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -456,6 +457,7 @@ def dense(side):
 @example(((1, 4, {}), (2, 2, {})))
 @example(((2, 2, {3: 1, 1: 2}), (2, 2, {3: 2, 1: 2, 0: 1})))
 @example(((3, 3, {8: 1, 1: 1}), (3, 3, {})))  # a set of {8, 1} iterates 8 first
+@example(((1, 2, {1: Fraction(3, 2) + Fraction(1, 2)}), (1, 2, {1: 1})))  # witness lhs=2, an int
 @settings(max_examples=150, deadline=None)
 def test_compare_nonzeros_equals_compare_on_dense_forms(pair):
     lhs, rhs = pair
@@ -468,6 +470,7 @@ def test_compare_nonzeros_equals_compare_on_dense_forms(pair):
         return
     result = compare_nonzeros("side", lhs, rhs)
     assert result == expect  # pass flag and witness row, column, lhs and rhs
+    assert repr(result) == repr(expect)  # and the witness entries' types
     assert result.line() == expect.line()
 
 

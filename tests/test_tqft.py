@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from frob2d import tqft
+from frob2d import linalg, tqft
 from frob2d.cobordism import (
     GENERATORS_BY_LABEL,
     CobordismWord,
@@ -33,12 +33,14 @@ from frob2d.frobenius import (
     FrobeniusAlgebra,
     FrobeniusMorphism,
     check_extended,
+    check_extended_morphism,
     check_frobenius,
+    check_morphism,
     tensor,
     tensor_extended,
 )
 from frob2d.linalg import BudgetError, Matrix, compose, identity, interleaver, inverse, kron
-from frob2d.report import CheckResult, Witness, compare
+from frob2d.report import CheckResult, Witness
 from frob2d.tqft import (
     ExtendedRequiredError,
     check_monoidal_naturality,
@@ -47,11 +49,11 @@ from frob2d.tqft import (
     evaluate,
     invariant,
     naturality_dictionary,
-    random_words,
     surface_invariant,
 )
 
 import oracles
+from helpers import compare, random_words
 
 CUP, CAP = Generator.CUP, Generator.CAP
 MULT, COMULT = Generator.MULT, Generator.COMULT
@@ -404,13 +406,8 @@ def dense_naturality(f, source_tables, target_tables, labels, source, target):
     """``f^(x)target . W_src`` against ``W_tgt . f^(x)source`` on nested lists."""
     lhs = matmul(kron_power(f, target), oracles.word_matrix(labels, source_tables, source))
     rhs = matmul(oracles.word_matrix(labels, target_tables, source), kron_power(f, source))
-    differ = [
-        Witness(i, j, x, y)
-        for i, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs))
-        for j, (x, y) in enumerate(zip(lhs_row, rhs_row))
-        if x != y
-    ]
-    return CheckResult("naturality", not differ, differ[0] if differ else None)
+    differ = oracles.first_difference(lhs, rhs)
+    return CheckResult("naturality", differ is None, differ and Witness(*differ))
 
 
 def test_naturality_matches_dense_reference_on_random_open_words():
@@ -530,6 +527,92 @@ def test_naturality_in_a_dense_fraction_basis_matches_dense_reference():
                 assert check_naturality(f, w).checks == (expect,), (labels, n)
                 outcomes.add(expect.passed)
     assert outcomes == {True, False}
+
+
+def test_squares_and_checks_lay_out_no_dense_side(monkeypatch):
+    # every side is a state: with linalg.dense refused, in linalg and where
+    # tqft binds it, the reports come out as they do without the patch
+    z2, kxk, k, dn = group_algebra_z2(), split_pair(), ground_field(), dual_numbers()
+    z2e, kxke, ke = group_algebra_z2_extended(), split_pair_extended(), ground_field_extended()
+    product = tensor(z2, kxk)
+    rng = random.Random(91)
+
+    def morphism(a, b):
+        rows, cols = getattr(b, "base", b).dim, getattr(a, "base", a).dim
+        return FrobeniusMorphism(a, b, Matrix(rows, cols, [rng.choice((0, 1, -1, Fraction(1, 2)))
+                                                           for _ in range(rows * cols)]))
+
+    same = [FrobeniusMorphism(z2, z2, Matrix(2, 2, [1, 0, 0, -1])), morphism(dn, dn)]
+    mixed = [morphism(k, z2), morphism(kxk, k), morphism(z2, product)]
+    extended = [FrobeniusMorphism(z2e, z2e, z2e.involution), morphism(ke, kxke),
+                morphism(kxke, z2e)]
+    open_words = [word([MULT], [COMULT]), word([ID, CUP], [SWAP], [MULT], [COMULT])]
+    closed_words = [closed_oriented_surface(2), word([CUP], [COMULT], [SWAP], [MULT], [CAP])]
+    calls = [lambda f=f, w=w: check_naturality(f, w)
+             for f in same + mixed for w in open_words + closed_words]
+    calls += [lambda f=f, w=w: check_naturality(f, w) for f in extended
+              for w in (word([PHI], [THETA, ID], [MULT], orientation="unoriented"),
+                        closed_unoriented_surface(2))]
+    calls += [lambda f=f: naturality_dictionary(f) for f in same + mixed + extended]
+    calls += [lambda f=f: check_morphism(f) for f in same + mixed]
+    calls += [lambda f=f: check_extended_morphism(f) for f in extended]
+    calls += [lambda a=a: check_extended(a)
+              for a in (z2e, kxke.replace(point=Matrix(2, 1, [1, 2])))]
+    calls += [lambda: check_multiplicativity(closed_oriented_surface(2), z2, kxk)]
+    expect = [call() for call in calls]
+    assert {report.passed for report in expect} == {True, False}
+    expect = list(map(repr, expect))  # witness types included
+
+    def refuse(state):
+        raise AssertionError("a side was laid out densely")
+
+    monkeypatch.setattr(linalg, "dense", refuse)
+    monkeypatch.setattr(tqft, "dense", refuse)
+    monkeypatch.setattr(tqft, "_tensor_algebras", lambda a, b: product)
+    with pytest.raises(AssertionError, match="densely"):
+        evaluate(open_words[0], z2)
+    with pytest.raises(AssertionError, match="densely"):
+        linalg.compose(z2.mult, z2.comult)
+    assert [repr(call()) for call in calls] == expect
+
+
+BUDGET_LINE = "a 4096x4096 matrix has 16777216 cells, over the budget of 8388608"
+SIX_CIRCLES = word([SWAP] + [ID] * 4)
+SIX_WITH_PHI = word([PHI] + [ID] * 5, orientation="unoriented")
+
+
+@pytest.mark.parametrize("source, target, w, error, line", [
+    # the source's run is refused first, then the target's
+    ("Z2*Z2", "Z2", SIX_CIRCLES, BudgetError, BUDGET_LINE),
+    ("Z2", "Z2*Z2", SIX_CIRCLES, BudgetError, BUDGET_LINE),
+    ("Z2*Z2*Z2", "Z2*Z2", SIX_CIRCLES, BudgetError,
+     "a 262144x262144 matrix has 68719476736 cells, over the budget of 8388608"),
+    ("Z2*Z2", "Z2*Z2*Z2", SIX_CIRCLES, BudgetError, BUDGET_LINE),
+    ("(Z2*Z2)_ext", "KxK_ext", SIX_WITH_PHI, BudgetError, BUDGET_LINE),
+    ("KxK_ext", "(Z2*Z2)_ext", SIX_WITH_PHI, BudgetError, BUDGET_LINE),
+    ("(Z2*Z2)_ext", "Z2", SIX_WITH_PHI, BudgetError, BUDGET_LINE),
+    ("Z2", "(Z2*Z2)_ext", SIX_WITH_PHI, ExtendedRequiredError,
+     "generator 'phi' needs an extended Frobenius algebra, but 'Z2' has no extended structure"),
+    ("Z2", "KxK_ext", SIX_WITH_PHI, ExtendedRequiredError,
+     "generator 'phi' needs an extended Frobenius algebra, but 'Z2' has no extended structure"),
+    ("KxK_ext", "Z2", SIX_WITH_PHI, ExtendedRequiredError,
+     "generator 'phi' needs an extended Frobenius algebra, but 'Z2' has no extended structure"),
+    ("KxK", "Z2", SIX_WITH_PHI, ExtendedRequiredError,
+     "generator 'phi' needs an extended Frobenius algebra, but 'KxK' has no extended structure"),
+])
+def test_naturality_between_dimensions_refuses_source_run_first(source, target, w, error, line):
+    z2, z2e = group_algebra_z2(), group_algebra_z2_extended()
+    algebras = {
+        "Z2": z2, "KxK": split_pair(), "KxK_ext": split_pair_extended(),
+        "Z2*Z2": tensor(z2, z2), "Z2*Z2*Z2": tensor(tensor(z2, z2), z2),
+        "(Z2*Z2)_ext": tensor_extended(z2e, z2e),
+    }
+    a, b = algebras[source], algebras[target]
+    rows, cols = getattr(b, "base", b).dim, getattr(a, "base", a).dim
+    f = FrobeniusMorphism(a, b, Matrix(rows, cols, [1] * (rows * cols)))
+    with pytest.raises(error) as got:
+        check_naturality(f, w)
+    assert str(got.value) == line
 
 
 def test_monoidal_naturality_frozen_case():
