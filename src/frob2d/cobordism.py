@@ -10,6 +10,9 @@ as a birth), cap 1->0 (disc as a death), mult 2->1 and comult 1->2 (pairs
 of pants), swap 2->2, phi 1->1 (orientation-reversing cylinder) and theta
 0->1 (once-punctured projective plane, a cross-cap feeding one circle).
 phi and theta only occur in unoriented words.
+
+``plan_word`` checks a word and plans it in one walk over its slices:
+``validate_word`` and every word function of ``tqft`` go through it.
 """
 
 from __future__ import annotations
@@ -21,24 +24,30 @@ from .linalg import MAX_CELLS, BudgetError, Record
 
 
 class Generator(Enum):
-    """Cobordism generators with fixed input/output circle counts."""
+    """Cobordism generators with fixed input/output circle counts.
 
-    ID = ("id", 1, 1)
-    CUP = ("cup", 0, 1)
-    CAP = ("cap", 1, 0)
-    MULT = ("mult", 2, 1)
-    COMULT = ("comult", 1, 2)
-    SWAP = ("swap", 2, 2)
-    PHI = ("phi", 1, 1)
-    THETA = ("theta", 0, 1)
+    ``field`` names the algebra attribute holding the generator's matrix
+    (None for id and swap, which every algebra of a dimension shares) and
+    ``unoriented`` marks phi and theta, which need an extended algebra.
+    """
 
-    def __init__(self, label, arity_in, arity_out):
+    ID = ("id", 1, 1, None)
+    CUP = ("cup", 0, 1, "unit")
+    CAP = ("cap", 1, 0, "counit")
+    MULT = ("mult", 2, 1, "mult")
+    COMULT = ("comult", 1, 2, "comult")
+    SWAP = ("swap", 2, 2, None)
+    PHI = ("phi", 1, 1, "involution", True)
+    THETA = ("theta", 0, 1, "point", True)
+
+    def __init__(self, label, arity_in, arity_out, field, unoriented=False):
         self.label = label
         self.arity_in = arity_in
         self.arity_out = arity_out
+        self.field = field
+        self.unoriented = unoriented
 
 
-UNORIENTED_ONLY = frozenset((Generator.PHI, Generator.THETA))
 GENERATORS_BY_LABEL = {g.label: g for g in Generator}
 
 
@@ -75,40 +84,57 @@ class CobordismWord(Record):
         return f"CobordismWord({self.orientation}: {body or 'empty'})"
 
 
-def validate_word(word: CobordismWord) -> tuple[int, int]:
-    """Check slice interfaces and the orientation constraint.
+def plan_word(word: CobordismWord) -> tuple[int, int, list]:
+    """Check a word's slices and plan it in one walk, as ``(source, target, steps)``.
 
-    Returns (source, target) circle counts; slice indices in error
-    messages are 1-based.
+    Checks slice interfaces and the orientation constraint; slice indices
+    in error messages are 1-based.  A step ``(generator, left, right)`` is
+    a non-id generator with ``left`` strands before it (outputs of its slice
+    so far) and ``right`` after it (inputs still to come).  The plan holds
+    no algebra, so one plan serves every algebra.
     """
-    previous_out = None
+    oriented = word.orientation == "oriented"
+    source = target = 0
+    steps = []
     for index, slice_ in enumerate(word.slices, start=1):
         if not slice_:
             raise WordError(f"slice {index} is empty")
-        if word.orientation == "oriented":
-            for g in slice_:
-                if g in UNORIENTED_ONLY:
-                    raise WordError(
-                        f"slice {index}: generator '{g.label}' requires an unoriented word"
-                    )
-        arity_in = sum(g.arity_in for g in slice_)
-        if previous_out is not None and arity_in != previous_out:
+        arity_in = 0
+        for g in slice_:
+            if g.unoriented and oriented:
+                raise WordError(
+                    f"slice {index}: generator '{g.label}' requires an unoriented word"
+                )
+            arity_in += g.arity_in
+        if index == 1:
+            source = arity_in
+        elif arity_in != target:
             raise WordError(
                 f"slice {index}: expects {arity_in} input circle(s), "
-                f"previous slice provides {previous_out}"
+                f"previous slice provides {target}"
             )
-        previous_out = sum(g.arity_out for g in slice_)
-    return word.source_arity, word.target_arity
+        left, right = 0, arity_in
+        for g in slice_:
+            right -= g.arity_in
+            if g is not Generator.ID:
+                steps.append((g, left, right))
+            left += g.arity_out
+        target = left
+    return source, target, steps
+
+
+def validate_word(word: CobordismWord) -> tuple[int, int]:
+    """Check a word (see ``plan_word``) and return its (source, target) circle counts."""
+    return plan_word(word)[:2]
 
 
 def compose_words(first: CobordismWord, second: CobordismWord) -> CobordismWord:
     """Concatenate words; ``first`` runs before ``second``."""
-    validate_word(first)
-    validate_word(second)
-    if first.target_arity != second.source_arity:
+    _, ends = validate_word(first)
+    starts, _ = validate_word(second)
+    if ends != starts:
         raise WordError(
-            f"cannot compose: first word ends on {first.target_arity} circle(s), "
-            f"second starts on {second.source_arity}"
+            f"cannot compose: first word ends on {ends} circle(s), second starts on {starts}"
         )
     orientation = (
         "oriented"
@@ -124,23 +150,23 @@ def tensor_words(left: CobordismWord, right: CobordismWord) -> CobordismWord:
     The shorter word is padded with trailing identity slices on its target
     arity so both have the same height.
     """
-    validate_word(left)
-    validate_word(right)
+    _, left_target = validate_word(left)
+    _, right_target = validate_word(right)
     count = max(len(left.slices), len(right.slices))
     orientation = (
         "oriented"
         if left.orientation == right.orientation == "oriented"
         else "unoriented"
     )
-    padded_left = _padded(left, count)
-    padded_right = _padded(right, count)
+    padded_left = _padded(left, left_target, count)
+    padded_right = _padded(right, right_target, count)
     return CobordismWord(
         orientation, tuple(a + b for a, b in zip(padded_left, padded_right))
     )
 
 
-def _padded(word: CobordismWord, count: int) -> tuple:
-    pad = ((Generator.ID,) * word.target_arity,) * (count - len(word.slices))
+def _padded(word: CobordismWord, target: int, count: int) -> tuple:
+    pad = ((Generator.ID,) * target,) * (count - len(word.slices))
     return word.slices + pad
 
 

@@ -16,8 +16,9 @@ The axiom checks work on the structure constants directly.  Every side
 of every check is a state, ``(rows, cols, {flat index: entry})``, built by
 ``linalg.layer_product`` from the nonzeros of the structure matrices
 (``mult . (mult (x) id)``, ``(comult (x) id) . comult``, the Frobenius
-sides, theta^2 and both sides of ``naturality_square``, which every
-morphism diagram is), or, for commutativity and cocommutativity, by
+sides and theta^2), by ``linalg.apply_steps`` (both sides of
+``naturality_square``, which every morphism diagram is, one step per
+strand of f), or, for commutativity and cocommutativity, by
 permuting the nonzeros of ``mult`` and ``comult``.  ``report.compare_nonzeros``
 compares each pair.  No padded layer, braiding matrix or dense side is
 built, so the cost follows the nonzeros: tensor products are almost all
@@ -37,6 +38,7 @@ from .linalg import (
     Record,
     ShapeError,
     SingularMatrixError,
+    apply_steps,
     braiding,
     compose,
     compose_layers,
@@ -249,17 +251,16 @@ def naturality_square(f: Matrix, source_map, target_map, arity_in: int, arity_ou
     """The sides ``(f^(x)out . source_map, target_map . f^(x)in)`` of a naturality square.
 
     The maps are matrices or states and the sides are states, built by
-    ``layer_product`` one strand at a time, so no power of f is built: f
+    ``apply_steps`` one strand at a time, so no power of f is built: f
     acts on each output of ``source_map``, and f^T on each input of
     ``target_map^T``, which builds the right side transposed and keeps the
     kernel's left factor a matrix.
     """
     f_t = Matrix._raw(f.cols, f.rows, tuple(x for j in range(f.cols) for x in f.entries[j::f.cols]))
-    left, right = _sparse(source_map), _transposed(_sparse(target_map))
-    for k in range(arity_out):
-        left = layer_product(f, (f.rows**k, f.cols ** (arity_out - 1 - k)), left, _NO_PAD)
-    for k in range(arity_in):
-        right = layer_product(f_t, (f.cols**k, f.rows ** (arity_in - 1 - k)), right, _NO_PAD)
+    left = apply_steps(_sparse(source_map), (
+        (f, f.rows**k, f.cols ** (arity_out - 1 - k)) for k in range(arity_out)))
+    right = apply_steps(_transposed(_sparse(target_map)), (
+        (f_t, f.cols**k, f.rows ** (arity_in - 1 - k)) for k in range(arity_in)))
     return left, _transposed(right)
 
 

@@ -17,10 +17,13 @@ package:
   padded layers ``kron(identity(l), f, identity(r))`` from the nonzeros
   of ``f`` and ``g`` alone and returns the product as a state, so no
   padded layer is built and a sparse product is never laid out densely.
-  Its right factor ``g`` may be a ``Matrix`` or a state.  Every product in
-  the package runs one kernel, ``_strand_product`` (``f`` on the middle
-  strands of ``g``, once per cell of g's pad): ``layer_product``, each
-  step of a ``tqft`` word, ``compose`` (two unpadded layers) and ``kron``
+  Its right factor ``g`` may be a ``Matrix`` or a state.
+  ``apply_steps(state, steps)`` applies ``kron(I_l, f, I_r)`` to a state
+  for each step ``(f, l, r)`` in turn: the one loop for a word's steps
+  (``tqft``) and a naturality square's strands (``frobenius``).  Every
+  product in the package runs one kernel, ``_strand_product`` (``f`` on
+  the middle strands of ``g``, once per cell of g's pad): ``layer_product``,
+  ``apply_steps``, ``compose`` (two unpadded layers) and ``kron``
   (``(I (x) g) . (f (x) I)``).  ``compose_layers`` is the product as a
   ``Matrix``, laid out by ``dense``, the one place where a state becomes a
   ``Matrix`` and an integral ``Fraction`` is stored as an int.
@@ -33,8 +36,8 @@ package:
 * No function here allocates a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
   A state may stand for a matrix far larger than the budget:
-  ``layer_product`` builds only nonzeros and leaves their count to its
-  callers (``tqft.evaluate`` bounds its steps).
+  ``layer_product`` builds only nonzeros, and ``apply_steps`` refuses a
+  step only when its dense shape and its nonzero bound both pass the budget.
   ``MAX_ENTRY_BITS`` bounds the entries that repeated squaring may build
   (``tqft.surface_invariant``) the same way.
 * ``Record`` is the immutable base of the package's value types (reports,
@@ -297,7 +300,7 @@ def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
     * l' * r' * (nonzeros per column of f), the unit pad ``(1, 1)`` adding
     nothing.  A matrix ``g`` reuses its ``nonzeros()`` memo but, read once,
     is scanned without storing one.  No budget is checked here: the callers
-    bound their products (``tqft`` refuses a step of an evaluation).
+    bound their products (``apply_steps`` refuses a step).
     """
     if isinstance(g, Matrix):
         g_rows, g_cols = g.rows, g.cols
@@ -315,6 +318,35 @@ def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
     offsets = [left * (g_rows * gr * cols + g_cols * gr) + right * (cols + 1)
                for left in range(gl) for right in range(gr)]
     return rows, cols, _strand_product(columns, f.cols, stride, f.rows * stride, spread, offsets)
+
+
+def apply_steps(state: tuple, steps) -> tuple:
+    """A state with each step ``(f, l, r)`` applied in turn as ``kron(I_l, f, I_r)``.
+
+    The state is ``(rows, cols, {flat index: entry})`` and so is the answer;
+    the steps are read one at a time, so a lazy iterable's errors come in
+    step order.  A step whose rows do not match the state's raises
+    ShapeError, and one whose dense shape and nonzero bound (the state's
+    nonzeros times the most nonzeros in one column of f) both pass
+    ``MAX_CELLS`` raises BudgetError, before it runs.  Each f's column
+    table is scaled once per stride and call.
+    """
+    rows, cols, nonzeros = state
+    tables = {}  # (id(f), stride) -> (f, table): f is held so that its id is not reused
+    for f, left, right in steps:
+        if left * f.cols * right != rows:
+            raise ShapeError(f"cannot apply {left}|{f.rows}x{f.cols}|{right} to {rows} rows")
+        rows = left * f.rows * right
+        if rows * cols > MAX_CELLS:
+            fullest = max(map(len, f._column_table()), default=0)
+            if len(nonzeros) * fullest > MAX_CELLS:
+                _cells(rows, cols)
+        stride = right * cols
+        memo = tables.get((id(f), stride))
+        if memo is None:
+            memo = tables[id(f), stride] = f, _strided_columns(f, stride)
+        nonzeros = _strand_product(memo[1], f.cols, stride, f.rows * stride, nonzeros.items())
+    return rows, cols, nonzeros
 
 
 def _strided_columns(f: Matrix, stride: int) -> list:

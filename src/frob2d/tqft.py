@@ -1,22 +1,20 @@
 """Evaluation of cobordism words against (extended) Frobenius algebras.
 
 A word on an algebra of dimension n becomes a matrix between tensor
-powers of the underlying space.  Each public word function validates its
-word once and plans it (``_compile``): one step ``(generator, left,
-right)`` per non-id generator, with no algebra in it, so the naturality,
-monoidal and multiplicativity checks run one plan on each of their
-algebras.  ``_run`` carries a state of nonzeros, ``(rows, cols, {flat
-index: entry})``, from the nonzeros of the identity on the n**source basis
-columns through the steps in one loop; each step applies its generator to
-its own strands with ``linalg._strand_product``, the kernel that
-``layer_product`` also runs, so no padded layer and no dense state is
-built.  Only ``evaluate`` lays out a dense ``Matrix``, once, at the end;
-the checks compare states with ``report.compare_nonzeros``.  An answer
-of more than ``MAX_CELLS`` cells is refused before the run starts; a
-step only when its nonzero bound and its dense shape both pass the
-budget.  ``check_monoidal_naturality`` regroups the nonzeros of its two
-sides by flat index, with no permutation matrix or Kronecker product.
-Closed words evaluate to 1x1 matrices whose single entry is the surface
+powers of the underlying space.  Each public word function checks and
+plans its word once, with ``cobordism.plan_word``: one step ``(generator,
+left, right)`` per non-id generator, with no algebra in it, so the
+naturality, monoidal and multiplicativity checks run one plan on each of
+their algebras.  ``_run`` hands ``linalg.apply_steps`` the nonzeros of
+the identity on the n**source basis columns and the steps as ``(matrix,
+n**left, n**right)``, each matrix looked up at its step, so no padded
+layer and no dense state is built.  Only ``evaluate`` lays out a dense
+``Matrix``, once, at the end; the checks compare states with
+``report.compare_nonzeros``.  An answer of more than ``MAX_CELLS`` cells
+is refused before the run starts, a step by ``apply_steps``'s budget rule.
+``check_monoidal_naturality`` regroups the nonzeros of its two sides by
+flat index, with no permutation matrix or Kronecker product.  Closed
+words evaluate to 1x1 matrices whose single entry is the surface
 invariant.
 
 ``surface_invariant`` computes the invariant of a closed surface without
@@ -34,13 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cobordism import (
-    UNORIENTED_ONLY,
-    CobordismWord,
-    Generator,
-    WordError,
-    validate_word,
-)
+from .cobordism import CobordismWord, Generator, WordError, plan_word
 from .frobenius import (
     AnyAlgebra,
     ExtendedFrobeniusAlgebra,
@@ -51,14 +43,12 @@ from .frobenius import (
     tensor_extended,
 )
 from .linalg import (
-    MAX_CELLS,
     MAX_ENTRY_BITS,
     BudgetError,
     Matrix,
     Rational,
     _cells,
-    _strided_columns,
-    _strand_product,
+    apply_steps,
     as_rational,
     braiding,
     compose,
@@ -73,84 +63,44 @@ class ExtendedRequiredError(ValueError):
     """phi or theta was evaluated against a plain Frobenius algebra."""
 
 
-# phi and theta live on the extended algebra, the others on its base
-_STRUCTURE = {
-    Generator.CUP: "unit",
-    Generator.CAP: "counit",
-    Generator.MULT: "mult",
-    Generator.COMULT: "comult",
-    Generator.PHI: "involution",
-    Generator.THETA: "point",
-}
-
-
 def _generator_matrix(generator: Generator, algebra: AnyAlgebra) -> Matrix:
     base = as_plain(algebra)
-    if generator is Generator.ID:
-        return identity(base.dim)
-    if generator is Generator.SWAP:
-        return braiding(base.dim, base.dim)
-    if generator not in UNORIENTED_ONLY:
-        return getattr(base, _STRUCTURE[generator])
-    if not isinstance(algebra, ExtendedFrobeniusAlgebra):
+    if generator.field is None:
+        return identity(base.dim) if generator is Generator.ID else braiding(base.dim, base.dim)
+    if generator.unoriented and not isinstance(algebra, ExtendedFrobeniusAlgebra):
         raise ExtendedRequiredError(
             f"generator '{generator.label}' needs an extended Frobenius algebra, "
             f"but {base.name!r} has no extended structure"
         )
-    return getattr(algebra, _STRUCTURE[generator])
+    return getattr(algebra if generator.unoriented else base, generator.field)
 
 
 def _compile(word: CobordismWord, closed: bool = False) -> tuple:
-    """Validate a word once and plan it as ``(source, target, steps)``.
-
-    A step ``(generator, left, right)`` is a non-id generator with ``left``
-    strands before it (outputs of its slice so far) and ``right`` after it
-    (inputs still to come).  One plan serves every algebra.  ``closed``
-    refuses a word whose boundary is not 0 -> 0 (WordError).
-    """
-    source, target = validate_word(word)
-    if closed and (source, target) != (0, 0):
+    """``plan_word``'s plan; ``closed`` refuses a boundary other than 0 -> 0 (WordError)."""
+    plan = plan_word(word)
+    if closed and plan[:2] != (0, 0):
         raise WordError(
-            f"invariants need a closed word, this one has boundary {source} -> {target}"
+            f"invariants need a closed word, this one has boundary {plan[0]} -> {plan[1]}"
         )
-    steps = []
-    for slice_ in word.slices:
-        left, right = 0, sum(g.arity_in for g in slice_)
-        for generator in slice_:
-            right -= generator.arity_in
-            if generator is not Generator.ID:
-                steps.append((generator, left, right))
-            left += generator.arity_out
-    return source, target, steps
+    return plan
 
 
 def _run(plan: tuple, algebra: AnyAlgebra) -> tuple:
     """The nonzeros of a planned word's matrix, as ``(rows, cols, {flat index: entry})``.
 
     Refuses an answer over ``MAX_CELLS`` cells first, which bounds the start
-    state (the identity's n**source nonzeros), and a step only through
-    ``_check_step``.  A generator's matrix is looked up at its first step,
-    so errors come in step order, and kept with its column table scaled to
-    each stride.  An integral ``Fraction`` in the answer is stored as an int.
+    state (the identity's n**source nonzeros); ``apply_steps`` refuses a
+    step.  Each generator's matrix is looked up at its step, so errors come
+    in step order.  An integral ``Fraction`` in the answer is stored as an int.
     """
     source, target, steps = plan
     n = as_plain(algebra).dim
     size = n**source
     _cells(n**target, size)
-    state = {k * (size + 1): 1 for k in range(size)}
-    matrices, tables = {}, {}
-    for generator, left, right in steps:
-        stride = n**right * size
-        f = matrices.get(generator)
-        if f is None:
-            f = matrices[generator] = _generator_matrix(generator, algebra)
-        block = f.rows * stride
-        if n**left * block > MAX_CELLS:
-            _check_step(f, len(state), n**left * f.rows * n**right, size)
-        table = tables.get((generator, stride))
-        if table is None:
-            table = tables[generator, stride] = _strided_columns(f, stride)
-        state = _strand_product(table, f.cols, stride, block, state.items())
+    identity_state = (size, size, {k * (size + 1): 1 for k in range(size)})
+    state = apply_steps(identity_state, (
+        (_generator_matrix(g, algebra), n**left, n**right) for g, left, right in steps
+    ))[2]
     if Fraction in set(map(type, state.values())):
         state = dict(zip(state, map(as_rational, state.values())))
     return n**target, size, state
@@ -163,20 +113,6 @@ def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
     than ``MAX_CELLS`` cells.
     """
     return dense(_run(_compile(word), algebra))
-
-
-def _check_step(f: Matrix, nonzeros: int, rows: int, cols: int) -> None:
-    """Refuse a step whose dense shape and nonzero bound both pass ``MAX_CELLS``.
-
-    The step applies f to a state of ``nonzeros`` entries and has a
-    ``rows x cols`` answer; its bound is ``nonzeros`` times the most
-    nonzeros in one column of f, read from f's column table only for a
-    shape over the budget.
-    """
-    if rows * cols > MAX_CELLS:
-        fullest = max(map(len, f._column_table()), default=0)
-        if nonzeros * fullest > MAX_CELLS:
-            _cells(rows, cols)
 
 
 def invariant(word: CobordismWord, algebra: AnyAlgebra) -> Rational:
@@ -248,7 +184,7 @@ def naturality_dictionary(morphism: FrobeniusMorphism) -> AxiomReport:
             f, _generator_matrix(g, a), _generator_matrix(g, b), g.arity_in, g.arity_out
         ))
         for g in Generator
-        if extended or g not in UNORIENTED_ONLY
+        if extended or not g.unoriented
     ))
 
 
@@ -309,8 +245,8 @@ def _paired(strands: int, na: int, nb: int) -> tuple:
 
 def check_multiplicativity(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra) -> AxiomReport:
     """Closed-word invariant of a tensor product vs product of invariants."""
-    product = _tensor_algebras(a, b)
     plan = _compile(word, closed=True)
+    product = _tensor_algebras(a, b)
     value, on_a, on_b = (_run(plan, x)[2].get(0, 0) for x in (product, a, b))
     split = on_a * on_b
     return AxiomReport(

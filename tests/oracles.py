@@ -278,6 +278,29 @@ ARITY = {
 }
 
 
+def word_error(orientation, labels):
+    """The WordError line of an ill-formed word, else its ``(source, target)`` circle counts.
+
+    ``labels`` lists the slices, each a list of generator labels.  Slices
+    are checked in order, and within one slice: empty, then the first phi
+    or theta of an oriented word, then an input count other than the
+    previous slice's output count.
+    """
+    counts = []
+    for number, slice_labels in enumerate(labels, start=1):
+        if not slice_labels:
+            return f"slice {number} is empty"
+        for label in slice_labels:
+            if orientation == "oriented" and label in ("phi", "theta"):
+                return f"slice {number}: generator '{label}' requires an unoriented word"
+        ins = sum(ARITY[label][0] for label in slice_labels)
+        if counts and ins != counts[-1][1]:
+            return (f"slice {number}: expects {ins} input circle(s), "
+                    f"previous slice provides {counts[-1][1]}")
+        counts.append((ins, sum(ARITY[label][1] for label in slice_labels)))
+    return (counts[0][0], counts[-1][1]) if counts else (0, 0)
+
+
 def _generator_terms(label, tables, ins):
     n = dim(tables)
     if label == "id":

@@ -310,7 +310,7 @@ def assert_one_error_line(code, out, err):
 
 
 def write_z2_ext(tmp_path, change):
-    doc = json.loads(open(DATA["z2_ext.json"]).read())
+    doc = json.loads(Path(DATA["z2_ext.json"]).read_text())
     change(doc)
     path = tmp_path / "z2_ext.json"
     path.write_text(json.dumps(doc))
@@ -391,7 +391,7 @@ def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
 
 
 def test_over_long_integer_literal_is_exit_2(capsys, tmp_path):
-    doc = json.loads(open(DATA["z2.json"]).read())
+    doc = json.loads(Path(DATA["z2.json"]).read_text())
     text = json.dumps(doc).replace('"unit": [1, 0]', '"unit": [1' + "0" * 5000 + ", 0]")
     path = tmp_path / "long.json"
     path.write_text(text)

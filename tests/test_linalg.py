@@ -19,6 +19,7 @@ from frob2d.linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
+    apply_steps,
     as_rational,
     braiding,
     compose,
@@ -324,6 +325,23 @@ def test_layer_product_takes_a_state_past_the_cell_budget():
     )
     with pytest.raises(BudgetError, match=f"^a {n}x{n} matrix has"):
         to_matrix(eye)
+
+
+def test_apply_steps_runs_each_step_as_its_padded_layer():
+    # each matrix serves two strides, so a column table kept for one stride
+    # would break the other's step
+    rng = random.Random(31)
+    values = (0, 0, 1, -1, 2, Fraction(1, 2))
+    f = Matrix(2, 3, [rng.choice(values) for _ in range(6)])
+    g = Matrix(3, 2, [rng.choice(values) for _ in range(6)])
+    m = Matrix(12, 2, [rng.choice(values) for _ in range(24)])
+    steps = [(f, 2, 2), (g, 1, 4), (f, 4, 1), (g, 2, 2)]
+    state = apply_steps((m.rows, m.cols, dict(m.nonzeros())), steps)
+    for h, left, right in steps:
+        m = padded_product(h, (left, right), m, (1, 1))
+    assert to_matrix(state) == m
+    with pytest.raises(ShapeError, match=r"^cannot apply 1\|2x3\|1 to 12 rows$"):
+        apply_steps((12, 2, {}), [(f, 1, 1)])
 
 
 def test_compose_layers_rejects_mismatched_layers():

@@ -17,6 +17,7 @@ from frob2d.cobordism import (
     closed_unoriented_surface,
     identity_word,
     parse_word,
+    validate_word,
 )
 from frob2d.examples import (
     dual_numbers,
@@ -675,15 +676,28 @@ def test_monoidal_naturality_is_refused_over_the_answer_budget(cobordism, shape)
     assert peak < 2**20
 
 
+class Counted(dict):
+    """A state's nonzeros that hold no entry but count ``count`` for a step's bound."""
+
+    def __init__(self, count):
+        super().__init__()
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+
 def test_a_step_is_refused_only_when_its_shape_and_nonzero_bound_pass_the_budget():
-    # comult on Z2*Z2 has 4 nonzeros in each column: 2**21 nonzeros give a
-    # bound of exactly MAX_CELLS
+    # comult on Z2*Z2 (16x4) has 4 nonzeros in each column: 2**21 nonzeros
+    # give a bound of exactly MAX_CELLS; an accepted step runs on no entry
     comult = tensor(group_algebra_z2(), group_algebra_z2()).comult
     big = 2**24
-    tqft._check_step(comult, 2**21, big, big)
-    tqft._check_step(comult, 2**30, 2**11, 2**12)
+    step = [(comult, 2**10, 2**10)]  # 2**22 rows to 2**24
+    assert linalg.apply_steps((2**22, big, Counted(2**21)), step) == (big, big, {})
+    small = [(comult, 2**4, 2**3)]  # 2**9 rows to 2**11
+    assert linalg.apply_steps((2**9, 2**12, Counted(2**30)), small) == (2**11, 2**12, {})
     with pytest.raises(BudgetError, match=f"^a {big}x{big} matrix has"):
-        tqft._check_step(comult, 2**21 + 1, big, big)
+        linalg.apply_steps((2**22, big, Counted(2**21 + 1)), step)
 
 
 def test_monoidal_naturality_witness_matches_the_dense_route(monkeypatch):
@@ -726,6 +740,62 @@ def test_multiplicativity_sphere_zero_factor():
     for other in plain_battery():
         report = check_multiplicativity(sphere, dual_numbers(), other)
         assert report.passed
+
+
+def test_multiplicativity_refuses_an_ill_formed_word_before_its_tensor_product():
+    # the tensor square of the 17-dimensional split algebra is over the budget
+    n = 17
+    split = [[[int(i == j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    s17 = FrobeniusAlgebra.from_tables("s17", [f"e{i}" for i in range(n)], split,
+                                       [1] * n, [1] * n, split)
+    line = "slice 2: expects 2 input circle(s), previous slice provides 1"
+    for check in (check_monoidal_naturality, check_multiplicativity):
+        with pytest.raises(WordError) as refused:
+            check(word([MULT], [MULT]), s17, s17)
+        assert str(refused.value) == line
+
+
+def word_error_sweep(rng, count):
+    """Seeded label lists, mostly ill-formed: empty slices, phi/theta, misfits, several faults."""
+    for _ in range(count):
+        orientation = rng.choice(("oriented", "unoriented"))
+        arity = rng.randint(0, 3)
+        slices = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.1:
+                slices.append([])
+                continue
+            labels, remaining = [], arity
+            while remaining > 0 or not labels:
+                label = rng.choice(sorted(oracles.ARITY))
+                labels.append(label)
+                remaining -= oracles.ARITY[label][0]
+            if rng.random() < 0.3:  # one more generator: an input misfit, maybe phi/theta
+                labels.insert(rng.randrange(len(labels) + 1), rng.choice(sorted(oracles.ARITY)))
+            slices.append(labels)
+            arity = sum(oracles.ARITY[label][1] for label in labels)
+        yield orientation, slices
+
+
+def test_word_errors_match_the_label_oracle_on_a_seeded_sweep():
+    algebra = split_pair_extended()
+    outcomes = set()
+    for orientation, labels in word_error_sweep(random.Random(91), 600):
+        w = word(*[[GENERATORS_BY_LABEL[t] for t in s] for s in labels],
+                 orientation=orientation)
+        expect = oracles.word_error(orientation, labels)
+        if isinstance(expect, str):
+            for call in (validate_word, lambda w: evaluate(w, algebra)):
+                with pytest.raises(WordError) as refused:
+                    call(w)
+                assert str(refused.value) == expect, labels
+            outcomes.add("empty" if expect.endswith("empty") else expect.split()[2])
+        else:
+            assert validate_word(w) == expect, labels
+            m = evaluate(w, algebra)
+            assert (m.rows, m.cols) == (2 ** expect[1], 2 ** expect[0]), labels
+            outcomes.add("valid")
+    assert outcomes == {"valid", "empty", "generator", "expects"}
 
 
 def test_random_words_deterministic_and_valid():
@@ -834,8 +904,8 @@ def test_surface_invariant_rejects_bad_counts():
 
 def test_each_word_function_validates_its_word_once(monkeypatch):
     seen = []
-    validate = tqft.validate_word
-    monkeypatch.setattr(tqft, "validate_word", lambda w: seen.append(w) or validate(w))
+    plan = tqft.plan_word
+    monkeypatch.setattr(tqft, "plan_word", lambda w: seen.append(w) or plan(w))
     z2, kxk = group_algebra_z2(), split_pair()
     torus, pants = closed_oriented_surface(1), word([MULT], [COMULT])
     negate = FrobeniusMorphism(z2, z2, Matrix(2, 2, [1, 0, 0, -1]))
