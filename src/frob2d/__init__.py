@@ -63,7 +63,6 @@ from .linalg import (
     as_rational,
     braiding,
     compose,
-    compose_layers,
     identity,
     interleaver,
     inverse,

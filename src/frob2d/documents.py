@@ -30,7 +30,6 @@ the morphism is loaded against.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .frobenius import (

@@ -13,17 +13,16 @@ with the basis vector ``e_i (x) e_j`` of the tensor square at flat index
 distinguished point ``n x 1``.
 
 The axiom checks work on the structure constants directly.  Every side
-of every check is a state, ``(rows, cols, {flat index: entry})``, built by
-``linalg.layer_product`` from the nonzeros of the structure matrices
-(``mult . (mult (x) id)``, ``(comult (x) id) . comult``, the Frobenius
-sides and theta^2), by ``linalg.apply_steps`` (both sides of
-``naturality_square``, which every morphism diagram is, one step per
-strand of f), or, for commutativity and cocommutativity, by
-permuting the nonzeros of ``mult`` and ``comult``.  ``report.compare_nonzeros``
-compares each pair.  No padded layer, braiding matrix or dense side is
-built, so the cost follows the nonzeros: tensor products are almost all
-zeros.  ``tensor`` and ``derive_comult`` build structure matrices with
-``linalg.compose_layers``, the dense form of the same product.
+of every check is a ``Matrix`` built by ``linalg.layer_product`` from the
+nonzeros of the structure matrices (``mult . (mult (x) id)``,
+``(comult (x) id) . comult``, the Frobenius sides and theta^2), by
+``linalg.apply_steps`` (both sides of ``naturality_square``, which every
+morphism diagram is, one step per strand of f), or, for commutativity and
+cocommutativity, by permuting the nonzeros of ``mult`` and ``comult``.
+``report.compare_nonzeros`` compares each pair.  No padded layer,
+braiding matrix or dense entry tuple is built, so the cost follows the
+nonzeros: tensor products are almost all zeros.  ``tensor`` and
+``derive_comult`` build their structure matrices with the same product.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .linalg import (
     apply_steps,
     braiding,
     compose,
-    compose_layers,
     identity,
     inverse,
     kron,
@@ -193,16 +191,16 @@ def derive_comult(mult: Matrix, unit: Matrix, counit: Matrix) -> Matrix:
     _expect_shape("mult", mult, n, n * n)
     _expect_shape("unit", unit, n, 1)
     _expect_shape("counit", counit, 1, n)
-    pairing = compose(counit, mult)  # 1 x n^2, row-major reshape below
-    gram = Matrix(n, n, pairing.entries)
+    pairing = compose(counit, mult)  # 1 x n^2: its flat indices are the n x n gram's
+    gram = Matrix._raw(n, n, pairing.nonzeros)
     try:
         gram_inv = inverse(gram)
     except SingularMatrixError as exc:
         raise DegenerateFormError(
             "degenerate Frobenius form: the pairing counit(e_i * e_j) is singular"
         ) from exc
-    copairing = Matrix(n * n, 1, gram_inv.entries)
-    return compose_layers(mult, (n, 1), copairing, (1, n))
+    copairing = Matrix._raw(n * n, 1, gram_inv.nonzeros)
+    return layer_product(mult, (n, 1), copairing, (1, n))
 
 
 def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
@@ -210,13 +208,13 @@ def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
     a = as_plain(algebra)
     n = a.dim
     m, u, e, d = a.mult, a.unit, a.counit, a.comult
-    i_n = _sparse(identity(n))
+    i_n = identity(n)
     dm = layer_product(d, _NO_PAD, m, _NO_PAD)
     # the braiding as a permutation of flat indices: x (x) y sits at y (x) x
     swap = [j * n + i for i in range(n) for j in range(n)]
     nn = n * n
-    m_swapped = (n, nn, {k - k % nn + swap[k % nn]: x for k, x in m.nonzeros()})
-    d_swapped = (nn, n, {swap[k // n] * n + k % n: x for k, x in d.nonzeros()})
+    m_swapped = Matrix._raw(n, nn, {k - k % nn + swap[k % nn]: x for k, x in m.nonzeros.items()})
+    d_swapped = Matrix._raw(nn, n, {swap[k // n] * n + k % n: x for k, x in d.nonzeros.items()})
     checks = (
         compare_nonzeros(
             "associativity",
@@ -234,39 +232,32 @@ def check_frobenius(algebra: AnyAlgebra) -> AxiomReport:
         compare_nonzeros("counit_right", layer_product(e, (n, 1), d, _NO_PAD), i_n),
         compare_nonzeros("frobenius_left", layer_product(m, (n, 1), d, (1, n)), dm),
         compare_nonzeros("frobenius_right", layer_product(m, (1, n), d, (n, 1)), dm),
-        compare_nonzeros("commutativity", m_swapped, _sparse(m)),
-        compare_nonzeros("cocommutativity", d_swapped, _sparse(d)),
+        compare_nonzeros("commutativity", m_swapped, m),
+        compare_nonzeros("cocommutativity", d_swapped, d),
     )
     return AxiomReport(checks)
 
 
-def _sparse(m) -> tuple:
-    """A matrix as ``(rows, cols, {flat index: entry})`` over its nonzeros; a state as it is."""
-    if isinstance(m, tuple):
-        return m
-    return m.rows, m.cols, dict(m.nonzeros())
-
-
-def naturality_square(f: Matrix, source_map, target_map, arity_in: int, arity_out: int) -> tuple:
+def naturality_square(f: Matrix, source_map: Matrix, target_map: Matrix, arity_in: int,
+                      arity_out: int) -> tuple:
     """The sides ``(f^(x)out . source_map, target_map . f^(x)in)`` of a naturality square.
 
-    The maps are matrices or states and the sides are states, built by
-    ``apply_steps`` one strand at a time, so no power of f is built: f
-    acts on each output of ``source_map``, and f^T on each input of
-    ``target_map^T``, which builds the right side transposed and keeps the
-    kernel's left factor a matrix.
+    Both sides are built by ``apply_steps`` one strand at a time, so no
+    power of f is built: f acts on each output of ``source_map``, and f^T
+    on each input of ``target_map^T``, which builds the right side
+    transposed.
     """
-    f_t = Matrix._raw(f.cols, f.rows, tuple(x for j in range(f.cols) for x in f.entries[j::f.cols]))
-    left = apply_steps(_sparse(source_map), (
+    f_t = _transposed(f)
+    left = apply_steps(source_map, (
         (f, f.rows**k, f.cols ** (arity_out - 1 - k)) for k in range(arity_out)))
-    right = apply_steps(_transposed(_sparse(target_map)), (
+    right = apply_steps(_transposed(target_map), (
         (f_t, f.cols**k, f.rows ** (arity_in - 1 - k)) for k in range(arity_in)))
     return left, _transposed(right)
 
 
-def _transposed(state: tuple) -> tuple:
-    rows, cols, nonzeros = state
-    return cols, rows, {k % cols * rows + k // cols: x for k, x in nonzeros.items()}
+def _transposed(m: Matrix) -> Matrix:
+    rows, cols = m.rows, m.cols
+    return Matrix._raw(cols, rows, {k % cols * rows + k // cols: x for k, x in m.nonzeros.items()})
 
 
 def check_morphism(f: FrobeniusMorphism) -> AxiomReport:
@@ -289,10 +280,10 @@ def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
     crosscap (theta^2 equals mult . (phi (x) id) . comult . unit); and the
     implied phi_fixes_theta, reported separately for diagnosis.
 
-    Like ``check_frobenius``, every side is a state built by
-    ``layer_product`` from the structure constants: multiplication by theta
-    is ``mult . (theta (x) id)``, theta^2 is ``mult . (theta (x) theta)``,
-    and the right-hand side of crosscap applies phi to one leg of
+    Like ``check_frobenius``, every side is built by ``layer_product``
+    from the structure constants: multiplication by theta is
+    ``mult . (theta (x) id)``, theta^2 is ``mult . (theta (x) theta)``, and
+    the right-hand side of crosscap applies phi to one leg of
     ``comult . unit``.
     """
     base, phi, theta = algebra.base, algebra.involution, algebra.point
@@ -304,8 +295,7 @@ def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
                          layer_product(phi, _NO_PAD, times_theta, _NO_PAD), times_theta),
         compare_nonzeros("crosscap", layer_product(base.mult, _NO_PAD, theta_theta, _NO_PAD),
                          _crosscap_rhs(base, phi)),
-        compare_nonzeros("phi_fixes_theta", layer_product(phi, _NO_PAD, theta, _NO_PAD),
-                         _sparse(theta)),
+        compare_nonzeros("phi_fixes_theta", layer_product(phi, _NO_PAD, theta, _NO_PAD), theta),
     ))
 
 
@@ -314,13 +304,13 @@ def _phi_checks(base: FrobeniusAlgebra, phi: Matrix) -> tuple[CheckResult, ...]:
     morphism = check_morphism(FrobeniusMorphism(base, base, phi))
     return (
         compare_nonzeros("involution", layer_product(phi, _NO_PAD, phi, _NO_PAD),
-                         _sparse(identity(base.dim))),
+                         identity(base.dim)),
         *(CheckResult("phi_" + c.name, c.passed, c.witness) for c in morphism.checks),
     )
 
 
-def _crosscap_rhs(base: FrobeniusAlgebra, phi: Matrix) -> tuple:
-    """``mult . (phi (x) id) . comult . unit``, the side of crosscap free of theta, as a state."""
+def _crosscap_rhs(base: FrobeniusAlgebra, phi: Matrix) -> Matrix:
+    """``mult . (phi (x) id) . comult . unit``, the side of crosscap free of theta."""
     copairing = layer_product(base.comult, _NO_PAD, base.unit, _NO_PAD)
     twisted = layer_product(phi, (1, base.dim), copairing, _NO_PAD)
     return layer_product(base.mult, _NO_PAD, twisted, _NO_PAD)
@@ -347,10 +337,10 @@ def _theta_conditions(base: FrobeniusAlgebra, phi: Matrix) -> tuple[list, list]:
         tuple((k, x) for k, x in enumerate(row) if x) for row in rows
     ) if row]
     terms = [[] for _ in range(n)]
-    for index, x in base.mult.nonzeros():
+    for index, x in base.mult.nonzeros.items():
         r, col = divmod(index, n * n)
         terms[r].append((*divmod(col, n), x))
-    rhs = _crosscap_rhs(base, phi)[2]
+    rhs = _crosscap_rhs(base, phi).nonzeros
     return linear, [(t, rhs.get(r, 0)) for r, t in enumerate(terms)]
 
 
@@ -378,10 +368,10 @@ def tensor(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
         name=f"{a.name}*{b.name}",
         basis=tuple(f"({x},{y})" for x in a.basis for y in b.basis),
         # A.B.A.B -> A.A.B.B, then both multiplications
-        mult=compose_layers(kron(a.mult, b.mult), _NO_PAD, braiding(nb, na), (na, nb)),
+        mult=layer_product(kron(a.mult, b.mult), _NO_PAD, braiding(nb, na), (na, nb)),
         unit=kron(a.unit, b.unit),
         counit=kron(a.counit, b.counit),
-        comult=compose_layers(braiding(na, nb), (na, nb), kron(a.comult, b.comult), _NO_PAD),
+        comult=layer_product(braiding(na, nb), (na, nb), kron(a.comult, b.comult), _NO_PAD),
     )
 
 

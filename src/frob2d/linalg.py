@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: dense matrices and sparse products.
+"""Exact linear algebra over the rationals: sparse matrices and their products.
 
 Scalars are Python ints or ``fractions.Fraction`` values and every
 operation is exact.  Conventions fixed here and relied on by the whole
@@ -12,34 +12,29 @@ package:
 
   so the basis vector ``e_i (x) e_j`` of a tensor-product space sits at
   flat index ``i * dim_right + j``.
-* A *state* is a matrix given by its nonzeros, ``(rows, cols, {flat
-  index: entry})``.  ``layer_product(f, f_pad, g, g_pad)`` multiplies two
-  padded layers ``kron(identity(l), f, identity(r))`` from the nonzeros
-  of ``f`` and ``g`` alone and returns the product as a state, so no
-  padded layer is built and a sparse product is never laid out densely.
-  Its right factor ``g`` may be a ``Matrix`` or a state.
-  ``apply_steps(state, steps)`` applies ``kron(I_l, f, I_r)`` to a state
+* A ``Matrix`` holds its nonzeros, ``{flat index: entry}``, and nothing
+  else: tensor powers are almost all zeros.  Its row-major ``entries``
+  tuple is laid out only when read.  ``layer_product(f, f_pad, g, g_pad)``
+  multiplies two padded layers ``kron(identity(l), f, identity(r))`` from
+  the nonzeros of ``f`` and ``g`` alone, so no padded layer is built.
+  ``apply_steps(state, steps)`` applies ``kron(I_l, f, I_r)`` to a matrix
   for each step ``(f, l, r)`` in turn: the one loop for a word's steps
   (``tqft``) and a naturality square's strands (``frobenius``).  Every
   product in the package runs one kernel, ``_strand_product`` (``f`` on
   the middle strands of ``g``, once per cell of g's pad): ``layer_product``,
   ``apply_steps``, ``compose`` (two unpadded layers) and ``kron``
-  (``(I (x) g) . (f (x) I)``).  ``compose_layers`` is the product as a
-  ``Matrix``, laid out by ``dense``, the one place where a state becomes a
-  ``Matrix`` and an integral ``Fraction`` is stored as an int.
-  ``Matrix.nonzeros()`` lists (and remembers) a matrix's nonzero entries
-  for the kernel.  The left factor ``f`` is also read through a second
-  memo, its column table (the ``(row, entry)`` pairs of each column),
-  built once per matrix; a right factor is read as it comes and, when read
-  only once, keeps no memo of either kind.  Memos are left out of ``==``,
-  ``hash``, repr, copies and pickles.
-* No function here allocates a matrix of more than ``MAX_CELLS`` cells:
+  (``(I (x) g) . (f (x) I)``).  The left factor ``f`` is read through its
+  column table (the ``(row, entry)`` pairs of each column), built once per
+  matrix.  The ``entries`` tuple and the column table are memos, left out
+  of ``==``, ``hash``, repr, copies and pickles.
+* No function here lays out a matrix of more than ``MAX_CELLS`` cells:
   a larger result raises ``BudgetError`` (a ``ShapeError``) first.
-  A state may stand for a matrix far larger than the budget:
-  ``layer_product`` builds only nonzeros, and ``apply_steps`` refuses a
-  step only when its dense shape and its nonzero bound both pass the budget.
-  ``MAX_ENTRY_BITS`` bounds the entries that repeated squaring may build
-  (``tqft.surface_invariant``) the same way.
+  ``compose``, ``kron`` and the permutations refuse such a result;
+  ``layer_product`` and ``apply_steps`` build only nonzeros, so their
+  answers may stand for matrices far larger than the budget, and
+  ``apply_steps`` refuses a step only when its dense shape and its nonzero
+  bound both pass it.  ``MAX_ENTRY_BITS`` bounds the entries that repeated
+  squaring may build (``tqft.surface_invariant``) the same way.
 * ``Record`` is the immutable base of the package's value types (reports,
   words, algebras, morphisms): field-wise ``==``, ``hash`` and repr, no
   assignment, and ``replace(**changes)``.
@@ -170,11 +165,18 @@ class Record:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals, stored row-major."""
+    """Immutable matrix of exact rationals, stored as its nonzeros ``{flat index: entry}``.
 
-    # _nonzeros and _columns are memos, filled on first use and left out
+    ``nonzeros`` holds no zero entry and is never changed: matrices may
+    share it (``_raw``, copies, a reshape).  ``entries`` (and ``row`` and
+    ``[i, j]``, which read it) is the row-major tuple of every cell, laid
+    out on first use, refused over ``MAX_CELLS`` (BudgetError), with an
+    integral ``Fraction`` as an int.
+    """
+
+    # _entries and _columns are memos, filled on first use and left out
     # of ==, hash, repr, copies and pickles
-    __slots__ = ("rows", "cols", "entries", "_nonzeros", "_columns")
+    __slots__ = ("rows", "cols", "nonzeros", "_entries", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
         if rows < 0 or cols < 0:
@@ -186,20 +188,33 @@ class Matrix:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = cells
-        self._nonzeros = None
+        self.nonzeros = {k: x for k, x in enumerate(cells) if x}
+        self._entries = cells
         self._columns = None
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
-        # Internal fast path: entries are already canonical rationals.
+    def _raw(cls, rows: int, cols: int, nonzeros: dict) -> "Matrix":
+        # Internal fast path: nonzeros holds exact rationals and no zero.
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
-        m._nonzeros = None
+        m.nonzeros = nonzeros
+        m._entries = None
         m._columns = None
         return m
+
+    @property
+    def entries(self) -> tuple:
+        """Every entry, row-major (see the class docstring)."""
+        if self._entries is None:
+            cells = [0] * _cells(self.rows, self.cols)
+            items = self.nonzeros.items()
+            if Fraction in set(map(type, self.nonzeros.values())):
+                items = ((k, as_rational(x)) for k, x in items)
+            for k, x in items:
+                cells[k] = x
+            self._entries = tuple(cells)
+        return self._entries
 
     def __getitem__(self, index: tuple) -> Rational:
         i, j = index
@@ -212,23 +227,17 @@ class Matrix:
             raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def nonzeros(self) -> tuple:
-        """The ``(flat index, entry)`` pairs of the nonzero entries, in row-major order."""
-        if self._nonzeros is None:
-            self._nonzeros = tuple((k, x) for k, x in enumerate(self.entries) if x)
-        return self._nonzeros
-
     def _column_table(self) -> tuple:
-        """Per column, the ``(row, entry)`` pairs of its nonzero entries, top to bottom."""
+        """Per column, the ``(row, entry)`` pairs of its nonzero entries."""
         if self._columns is None:
             table = [[] for _ in range(self.cols)]
-            for k, x in self.nonzeros():
+            for k, x in self.nonzeros.items():
                 table[k % self.cols].append((k // self.cols, x))
             self._columns = tuple(map(tuple, table))
         return self._columns
 
     def __reduce__(self):
-        return type(self), (self.rows, self.cols, self.entries)
+        return type(self)._raw, (self.rows, self.cols, self.nonzeros)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -236,11 +245,11 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.nonzeros == other.nonzeros
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, frozenset(self.nonzeros.items())))
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 36:
@@ -257,10 +266,8 @@ def identity(n: int) -> Matrix:
     """The n x n identity matrix."""
     if n < 0:
         raise ShapeError(f"identity needs n >= 0, got {n}")
-    cells = [0] * _cells(n, n)
-    for i in range(n):
-        cells[i * n + i] = 1
-    return Matrix._raw(n, n, tuple(cells))
+    _cells(n, n)
+    return Matrix._raw(n, n, {i * (n + 1): 1 for i in range(n)})
 
 
 def compose(f: Matrix, g: Matrix, *rest: Matrix) -> Matrix:
@@ -269,69 +276,62 @@ def compose(f: Matrix, g: Matrix, *rest: Matrix) -> Matrix:
         raise ShapeError(
             f"cannot compose {f.rows}x{f.cols} with {g.rows}x{g.cols}: {f.cols} != {g.rows}"
         )
-    out = compose_layers(f, (1, 1), g, (1, 1))
+    _cells(f.rows, g.cols)
+    out = layer_product(f, (1, 1), g, (1, 1))
     return compose(out, *rest) if rest else out
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:
     """Kronecker product with the left factor major (see module docstring)."""
-    return compose_layers(g, (f.rows, 1), f, (1, g.cols))  # (I (x) g) . (f (x) I)
+    _cells(f.rows * g.rows, f.cols * g.cols)
+    return layer_product(g, (f.rows, 1), f, (1, g.cols))  # (I (x) g) . (f (x) I)
 
 
-def _layer_shape(f: Matrix, f_pad: tuple, g_rows: int, g_cols: int, g_pad: tuple) -> tuple:
-    """The shape of the product of two padded layers; ShapeError for a negative pad or misfit."""
+def layer_product(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
+    """``kron(I_l, f, I_r) . kron(I_l', g, I_r')``, pads ``(l, r)`` and ``(l', r')``.
+
+    ShapeError for a negative pad or layers that do not fit.  Sums that
+    cancel are dropped.  Neither layer is built:
+    ``_strand_product``, the kernel, reads each nonzero of ``g`` once per
+    cell of its pad.  So the work is about nnz(g) * l' * r' * (nonzeros per
+    column of f), the unit pad ``(1, 1)`` adding nothing.  No budget is
+    checked here: the callers bound their products (``compose`` and
+    ``kron`` refuse a result over ``MAX_CELLS`` cells, ``apply_steps`` a
+    step).
+    """
     (fl, fr), (gl, gr) = f_pad, g_pad
     negative = min(fl, fr, gl, gr) < 0
-    if negative or fl * f.cols * fr != gl * g_rows * gr:
+    if negative or fl * f.cols * fr != gl * g.rows * gr:
         raise ShapeError(
             ("negative pad: " if negative else "")
-            + f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g_rows}x{g_cols}|{gr}"
+            + f"cannot compose {fl}|{f.rows}x{f.cols}|{fr} with {gl}|{g.rows}x{g.cols}|{gr}"
         )
-    return fl * f.rows * fr, gl * g_cols * gr
-
-
-def layer_product(f: Matrix, f_pad: tuple, g, g_pad: tuple) -> tuple:
-    """The nonzeros of ``kron(I_l, f, I_r) . kron(I_l', g, I_r')``, pads ``(l, r)``, ``(l', r')``.
-
-    ``g`` is a ``Matrix`` or a state ``(rows, cols, {flat index: entry})``.
-    Returns such a state with no zero entry: sums that cancel are dropped.
-    Neither layer is built: ``_strand_product``, the kernel, reads each
-    nonzero of ``g`` once per cell of its pad.  So the work is about nnz(g)
-    * l' * r' * (nonzeros per column of f), the unit pad ``(1, 1)`` adding
-    nothing.  A matrix ``g`` reuses its ``nonzeros()`` memo but, read once,
-    is scanned without storing one.  No budget is checked here: the callers
-    bound their products (``apply_steps`` refuses a step).
-    """
-    if isinstance(g, Matrix):
-        g_rows, g_cols = g.rows, g.cols
-        g_nonzeros = g._nonzeros or ((k, b) for k, b in enumerate(g.entries) if b)
-    else:
-        g_rows, g_cols, g_nonzeros = g[0], g[1], g[2].items()
-    rows, cols = _layer_shape(f, f_pad, g_rows, g_cols, g_pad)
-    fr, (gl, gr) = f_pad[1], g_pad
+    rows, cols = fl * f.rows * fr, gl * g.cols * gr
     stride = fr * cols
     columns = _strided_columns(f, stride)
     if gl == gr == 1:  # unpadded, g's flat index is its layer's
-        return rows, cols, _strand_product(columns, f.cols, stride, f.rows * stride, g_nonzeros)
-    # g's (y, x) at pad cell (left, right) sits at its spread index plus that cell's offset
-    spread = [(k // g_cols * gr * cols + k % g_cols * gr, b) for k, b in g_nonzeros]
-    offsets = [left * (g_rows * gr * cols + g_cols * gr) + right * (cols + 1)
-               for left in range(gl) for right in range(gr)]
-    return rows, cols, _strand_product(columns, f.cols, stride, f.rows * stride, spread, offsets)
+        spread, offsets = g.nonzeros.items(), (0,)
+    else:
+        # g's (y, x) at pad cell (left, right) sits at its spread index plus that cell's offset
+        g_cols = g.cols
+        spread = [(k // g_cols * gr * cols + k % g_cols * gr, b) for k, b in g.nonzeros.items()]
+        offsets = [left * (g.rows * gr * cols + g_cols * gr) + right * (cols + 1)
+                   for left in range(gl) for right in range(gr)]
+    return Matrix._raw(rows, cols, _strand_product(columns, f.cols, stride, f.rows * stride,
+                                                   spread, offsets))
 
 
-def apply_steps(state: tuple, steps) -> tuple:
-    """A state with each step ``(f, l, r)`` applied in turn as ``kron(I_l, f, I_r)``.
+def apply_steps(state: Matrix, steps) -> Matrix:
+    """``state`` with each step ``(f, l, r)`` applied in turn as ``kron(I_l, f, I_r)``.
 
-    The state is ``(rows, cols, {flat index: entry})`` and so is the answer;
-    the steps are read one at a time, so a lazy iterable's errors come in
+    The steps are read one at a time, so a lazy iterable's errors come in
     step order.  A step whose rows do not match the state's raises
     ShapeError, and one whose dense shape and nonzero bound (the state's
     nonzeros times the most nonzeros in one column of f) both pass
     ``MAX_CELLS`` raises BudgetError, before it runs.  Each f's column
     table is scaled once per stride and call.
     """
-    rows, cols, nonzeros = state
+    rows, cols, nonzeros = state.rows, state.cols, state.nonzeros
     tables = {}  # (id(f), stride) -> (f, table): f is held so that its id is not reused
     for f, left, right in steps:
         if left * f.cols * right != rows:
@@ -346,7 +346,7 @@ def apply_steps(state: tuple, steps) -> tuple:
         if memo is None:
             memo = tables[id(f), stride] = f, _strided_columns(f, stride)
         nonzeros = _strand_product(memo[1], f.cols, stride, f.rows * stride, nonzeros.items())
-    return rows, cols, nonzeros
+    return Matrix._raw(rows, cols, nonzeros)
 
 
 def _strided_columns(f: Matrix, stride: int) -> list:
@@ -384,24 +384,6 @@ def _strand_product(columns: list, f_cols: int, stride: int, block: int, pairs,
     return out
 
 
-def dense(state: tuple) -> Matrix:
-    """The ``Matrix`` of a state ``(rows, cols, {flat index: entry})``, refused over MAX_CELLS."""
-    rows, cols, nonzeros = state
-    out = [0] * _cells(rows, cols)
-    items = nonzeros.items()
-    if Fraction in set(map(type, nonzeros.values())):  # an integral Fraction is stored as an int
-        items = ((k, as_rational(x)) for k, x in items)
-    for k, x in items:
-        out[k] = x
-    return Matrix._raw(rows, cols, tuple(out))
-
-
-def compose_layers(f: Matrix, f_pad: tuple, g: Matrix, g_pad: tuple) -> Matrix:
-    """``kron(I_l, f, I_r) . kron(I_l', g, I_r')`` as a dense matrix (see ``layer_product``)."""
-    _cells(*_layer_shape(f, f_pad, g.rows, g.cols, g_pad))  # refused before the product runs
-    return dense(layer_product(f, f_pad, g, g_pad))
-
-
 @lru_cache(maxsize=16)
 def braiding(a: int, b: int) -> Matrix:
     """Permutation matrix sending x (x) y to y (x) x for dims a and b.
@@ -411,11 +393,9 @@ def braiding(a: int, b: int) -> Matrix:
     if a < 1 or b < 1:
         raise ValueError(f"braiding needs dimensions >= 1, got {a} and {b}")
     size = a * b
-    out = [0] * _cells(size, size)
-    for i in range(a):
-        for j in range(b):
-            out[(j * a + i) * size + (i * b + j)] = 1
-    return Matrix._raw(size, size, tuple(out))
+    _cells(size, size)
+    return Matrix._raw(size, size, {(j * a + i) * size + (i * b + j): 1
+                                    for i in range(a) for j in range(b)})
 
 
 @lru_cache(maxsize=16)
@@ -433,14 +413,15 @@ def interleaver(n: int, a: int, b: int) -> Matrix:
     size = (a * b) ** n
     bn = b**n
     ab = a * b
-    out = [0] * _cells(size, size)
+    _cells(size, size)
+    out = {}
     for idx_a, digits_a in enumerate(itertools.product(range(a), repeat=n)):
         for idx_b, digits_b in enumerate(itertools.product(range(b), repeat=n)):
             tgt = 0
             for i, j in zip(digits_a, digits_b):
                 tgt = tgt * ab + i * b + j
             out[tgt * size + idx_a * bn + idx_b] = 1
-    return Matrix._raw(size, size, tuple(out))
+    return Matrix._raw(size, size, out)
 
 
 def inverse(m: Matrix) -> Matrix:

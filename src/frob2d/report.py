@@ -1,10 +1,10 @@
-"""Named exact identities between states, ``(rows, cols, {flat index: entry})``, and reports."""
+"""Named exact identities between matrices, compared by their nonzeros, and reports."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .linalg import Rational, Record, ShapeError, as_rational
+from .linalg import Matrix, Rational, Record, ShapeError, as_rational
 
 _set = object.__setattr__  # sets a Record's field once, in its __init__
 
@@ -69,16 +69,16 @@ class AxiomReport(Record):
         return [c.line() for c in self.checks]
 
 
-def compare_nonzeros(name: str, lhs: tuple, rhs: tuple) -> CheckResult:
-    """One named check: exact equality of two states of the same shape (else ShapeError).
+def compare_nonzeros(name: str, lhs: Matrix, rhs: Matrix) -> CheckResult:
+    """One named check: exact equality of two matrices of the same shape (else ShapeError).
 
-    A zero entry counts as absent.  A failed check's witness is the first
-    differing entry in row-major order, as the dense sides hold it (an
+    Only the nonzeros are read.  A failed check's witness is the first
+    differing entry in row-major order, as ``entries`` holds it (an
     integral ``Fraction`` as an int).
     """
-    (rows, cols, left), (rhs_rows, rhs_cols, right) = lhs, rhs
-    if (rows, cols) != (rhs_rows, rhs_cols):
-        raise ShapeError(f"check {name!r} compares {rows}x{cols} with {rhs_rows}x{rhs_cols}")
+    rows, cols, left, right = lhs.rows, lhs.cols, lhs.nonzeros, rhs.nonzeros
+    if (rows, cols) != (rhs.rows, rhs.cols):
+        raise ShapeError(f"check {name!r} compares {rows}x{cols} with {rhs.rows}x{rhs.cols}")
     differ = [k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
     if not differ:
         return CheckResult(name, True)

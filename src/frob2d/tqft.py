@@ -5,11 +5,10 @@ powers of the underlying space.  Each public word function checks and
 plans its word once, with ``cobordism.plan_word``: one step ``(generator,
 left, right)`` per non-id generator, with no algebra in it, so the
 naturality, monoidal and multiplicativity checks run one plan on each of
-their algebras.  ``_run`` hands ``linalg.apply_steps`` the nonzeros of
-the identity on the n**source basis columns and the steps as ``(matrix,
-n**left, n**right)``, each matrix looked up at its step, so no padded
-layer and no dense state is built.  Only ``evaluate`` lays out a dense
-``Matrix``, once, at the end; the checks compare states with
+their algebras.  ``_run`` hands ``linalg.apply_steps`` the identity on the
+n**source basis columns and the steps as ``(matrix, n**left, n**right)``,
+each matrix looked up at its step, so no padded layer is built and every
+matrix holds only its nonzeros; the checks compare them with
 ``report.compare_nonzeros``.  An answer of more than ``MAX_CELLS`` cells
 is refused before the run starts, a step by ``apply_steps``'s budget rule.
 ``check_monoidal_naturality`` regroups the nonzeros of its two sides by
@@ -25,12 +24,10 @@ is ``counit . (mult . comult)^g . L^(k-1) . theta`` with
 squaring.  Matrix products are exact and associative, so the value equals
 ``invariant`` of the word for every algebra, whether or not it passes its
 axioms.  The squarings are bounded by ``linalg.MAX_ENTRY_BITS``.
-``check_naturality`` passes both runs' states to ``frobenius.naturality_square``.
+``check_naturality`` passes both runs' answers to ``frobenius.naturality_square``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .cobordism import CobordismWord, Generator, WordError, plan_word
 from .frobenius import (
@@ -49,12 +46,10 @@ from .linalg import (
     Rational,
     _cells,
     apply_steps,
-    as_rational,
     braiding,
     compose,
-    compose_layers,
-    dense,
     identity,
+    layer_product,
 )
 from .report import AxiomReport, compare_nonzeros
 
@@ -85,39 +80,36 @@ def _compile(word: CobordismWord, closed: bool = False) -> tuple:
     return plan
 
 
-def _run(plan: tuple, algebra: AnyAlgebra) -> tuple:
-    """The nonzeros of a planned word's matrix, as ``(rows, cols, {flat index: entry})``.
+def _run(plan: tuple, algebra: AnyAlgebra) -> Matrix:
+    """The matrix of a planned word.
 
     Refuses an answer over ``MAX_CELLS`` cells first, which bounds the start
-    state (the identity's n**source nonzeros); ``apply_steps`` refuses a
-    step.  Each generator's matrix is looked up at its step, so errors come
-    in step order.  An integral ``Fraction`` in the answer is stored as an int.
+    (the identity's n**source nonzeros); ``apply_steps`` refuses a step.
+    Each generator's matrix is looked up at its step, so errors come in
+    step order.
     """
     source, target, steps = plan
     n = as_plain(algebra).dim
     size = n**source
     _cells(n**target, size)
-    identity_state = (size, size, {k * (size + 1): 1 for k in range(size)})
-    state = apply_steps(identity_state, (
+    start = Matrix._raw(size, size, {k * (size + 1): 1 for k in range(size)})
+    return apply_steps(start, (
         (_generator_matrix(g, algebra), n**left, n**right) for g, left, right in steps
-    ))[2]
-    if Fraction in set(map(type, state.values())):
-        state = dict(zip(state, map(as_rational, state.values())))
-    return n**target, size, state
+    ))
 
 
 def evaluate(word: CobordismWord, algebra: AnyAlgebra) -> Matrix:
     """The matrix of a word; a word with no slices is the identity on 0 circles.
 
-    Raises BudgetError, before any state is built, when the answer has more
+    Raises BudgetError, before any product is built, when the answer has more
     than ``MAX_CELLS`` cells.
     """
-    return dense(_run(_compile(word), algebra))
+    return _run(_compile(word), algebra)
 
 
 def invariant(word: CobordismWord, algebra: AnyAlgebra) -> Rational:
     """Scalar value of a closed word (boundary 0 -> 0)."""
-    return _run(_compile(word, closed=True), algebra)[2].get(0, 0)
+    return _run(_compile(word, closed=True), algebra)[0, 0]
 
 
 def surface_invariant(algebra: AnyAlgebra, genus: int, crosscaps: int = 0) -> Rational:
@@ -137,7 +129,7 @@ def surface_invariant(algebra: AnyAlgebra, genus: int, crosscaps: int = 0) -> Ra
     state = base.unit
     if crosscaps:
         theta = _generator_matrix(Generator.THETA, algebra)
-        times_theta = compose_layers(base.mult, (1, 1), theta, (1, base.dim))  # L
+        times_theta = layer_product(base.mult, (1, 1), theta, (1, base.dim))  # L
         state = _power(times_theta, crosscaps - 1, theta)
     state = _power(compose(base.mult, base.comult), genus, state)
     return compose(base.counit, state)[0, 0]
@@ -150,8 +142,8 @@ def _power(m: Matrix, exponent: int, state: Matrix) -> Matrix:
             state = compose(m, state)
         exponent >>= 1
         if exponent:
-            bits = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
-                       for x in m.entries)
+            bits = max((max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                        for x in m.nonzeros.values()), default=0)
             if 2 * bits > MAX_ENTRY_BITS:
                 raise BudgetError(
                     f"squaring a {m.rows}x{m.cols} matrix with {bits}-bit entries "
@@ -201,7 +193,7 @@ def check_monoidal_naturality(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra)
     out as ``interleaver`` would match them: rows as ``(A (x) B)^(x)target``
     and columns as ``A^(x)source (x) B^(x)source``, by moving the flat
     indices of their nonzeros, and compared by ``compare_nonzeros``.
-    Raises BudgetError, before any state or index table is built, when the
+    Raises BudgetError, before any product or index table is built, when the
     evaluation against the tensor product has more than ``MAX_CELLS`` cells,
     as ``evaluate`` does.
     """
@@ -209,24 +201,24 @@ def check_monoidal_naturality(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra)
     na, nb = as_plain(a).dim, as_plain(b).dim
     # bounds both sides, both index tables and the split list
     _cells((na * nb) ** target, (na * nb) ** source)
-    rows, cols, product = _run(plan, _tensor_algebras(a, b))
-    _, a_cols, on_a = _run(plan, a)
-    _, b_cols, on_b = _run(plan, b)
+    product, on_a, on_b = (_run(plan, x) for x in (_tensor_algebras(a, b), a, b))
+    rows, cols, a_cols, b_cols = product.rows, product.cols, on_a.cols, on_b.cols
     # column c of the product's grouping is column split[c] of the split one
     split = [0] * cols
     col_a, col_b = _paired(source, na, nb)
     for i, x in enumerate(col_a):
         for j, y in enumerate(col_b):
             split[x + y] = i * b_cols + j
-    lhs = {k - k % cols + split[k % cols]: x for k, x in product.items()}
+    lhs = {k - k % cols + split[k % cols]: x for k, x in product.nonzeros.items()}
     # the Kronecker side has at most (na * nb)**(target + source) nonzeros
     row_a, row_b = _paired(target, na, nb)
-    on_a = [(row_a[k // a_cols] * cols + k % a_cols * b_cols, x) for k, x in on_a.items()]
-    on_b = [(row_b[k // b_cols] * cols + k % b_cols, y) for k, y in on_b.items()]
+    on_a = [(row_a[k // a_cols] * cols + k % a_cols * b_cols, x)
+            for k, x in on_a.nonzeros.items()]
+    on_b = [(row_b[k // b_cols] * cols + k % b_cols, y) for k, y in on_b.nonzeros.items()]
     rhs = {i + j: x * y for i, x in on_a for j, y in on_b}
-    return AxiomReport((
-        compare_nonzeros("monoidal_naturality", (rows, cols, lhs), (rows, cols, rhs)),
-    ))
+    return AxiomReport((compare_nonzeros(
+        "monoidal_naturality", Matrix._raw(rows, cols, lhs), Matrix._raw(rows, cols, rhs)
+    ),))
 
 
 def _paired(strands: int, na: int, nb: int) -> tuple:
@@ -247,9 +239,8 @@ def check_multiplicativity(word: CobordismWord, a: AnyAlgebra, b: AnyAlgebra) ->
     """Closed-word invariant of a tensor product vs product of invariants."""
     plan = _compile(word, closed=True)
     product = _tensor_algebras(a, b)
-    value, on_a, on_b = (_run(plan, x)[2].get(0, 0) for x in (product, a, b))
-    split = on_a * on_b
-    return AxiomReport(
-        (compare_nonzeros("multiplicativity", (1, 1, {0: value}), (1, 1, {0: split})),)
-    )
+    value, on_a, on_b = (_run(plan, x).nonzeros.get(0, 0) for x in (product, a, b))
+    return AxiomReport((
+        compare_nonzeros("multiplicativity", Matrix(1, 1, [value]), Matrix(1, 1, [on_a * on_b])),
+    ))
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frob2d.cobordism import parse_word
 from frob2d.examples import (
     dual_numbers,
     extended_battery,
@@ -49,6 +50,7 @@ from frob2d.linalg import (
     kron,
 )
 from frob2d.report import AxiomReport, CheckResult
+from frob2d.tqft import evaluate
 
 import oracles
 from helpers import compare
@@ -511,6 +513,43 @@ def test_frobenius_checks_match_dense_reference_under_bumps(algebra):
     assert dense_check_frobenius(algebra).passed
     for case in cases:
         assert_same_report(check_frobenius(case), dense_check_frobenius(case))
+
+
+# Each check of check_frobenius is a relation of 2Cob (Kock, "Frobenius
+# Algebras and 2D Topological Quantum Field Theories", 2004): its two sides
+# are words, slices separated by "; ".  Evaluating them runs a plan through
+# apply_steps, a different route from the check's own products.
+RELATIONS = {
+    "associativity": ("mult, id; mult", "id, mult; mult"),
+    "unit_left": ("cup, id; mult", "id"),
+    "unit_right": ("id, cup; mult", "id"),
+    "coassociativity": ("comult; comult, id", "comult; id, comult"),
+    "counit_left": ("comult; cap, id", "id"),
+    "counit_right": ("comult; id, cap", "id"),
+    "frobenius_left": ("comult, id; id, mult", "mult; comult"),
+    "frobenius_right": ("id, comult; mult, id", "mult; comult"),
+    "commutativity": ("swap; mult", "mult"),
+    "cocommutativity": ("comult; swap", "comult"),
+}
+
+
+@pytest.mark.parametrize("algebra", PLAIN, ids=lambda a: a.name)
+def test_relation_words_give_each_frobenius_check(algebra):
+    rng = random.Random("relations " + algebra.name)
+    cases = [algebra] + [
+        algebra.replace(**{name: bump(getattr(algebra, name), rng)})
+        for name in STRUCTURE * (1 if algebra.dim == 16 else 3)
+    ]
+    words = {name: [parse_word("oriented\n" + side.replace("; ", "\n")) for side in sides]
+             for name, sides in RELATIONS.items()}
+    failed = set()
+    for case in cases:
+        expect = check_frobenius(case)
+        got = AxiomReport(tuple(compare(name, *(evaluate(w, case) for w in sides))
+                                for name, sides in words.items()))
+        assert_same_report(got, expect)
+        failed.update(expect.failing())
+    assert algebra.dim == 1 or failed == set(RELATIONS), failed  # every witness is compared
 
 
 @pytest.mark.parametrize("algebra", EXTENDED, ids=lambda a: a.name)

@@ -23,8 +23,6 @@ from frob2d.linalg import (
     as_rational,
     braiding,
     compose,
-    compose_layers,
-    dense as to_matrix,
     identity,
     interleaver,
     inverse,
@@ -223,7 +221,7 @@ def padded(f, pad):
 
 
 def padded_product(f, f_pad, g, g_pad):
-    """``compose_layers``' answer from the oracles: the two padded layers multiplied."""
+    """``layer_product``'s answer from the oracles: the two padded layers multiplied."""
     cols = g_pad[0] * g.cols * g_pad[1]
     product = oracles.matmul(padded(f, f_pad), padded(g, g_pad), cols)
     return flat(len(product), cols, product)
@@ -253,20 +251,20 @@ def layer_pairs(draw):
 @example((Matrix(2, 1, [1, 0]), (2, 2), identity(4), (1, 1)))
 @example((Matrix(1, 2, [0, 3]), (1, 1), Matrix(2, 1, [Fraction(1, 3), 5]), (1, 1)))
 @settings(max_examples=80, deadline=None)
-def test_compose_layers_equals_product_of_padded_layers(case):
+def test_layer_product_equals_product_of_padded_layers(case):
     f, f_pad, g, g_pad = case
-    assert compose_layers(f, f_pad, g, g_pad) == padded_product(f, f_pad, g, g_pad)
+    product, expect = layer_product(f, f_pad, g, g_pad), padded_product(f, f_pad, g, g_pad)
+    assert product == expect and product.entries == expect.entries
 
 
 def test_layer_product_reuses_a_memo_but_stores_none():
     f, state = Matrix(2, 2, [0, 1, 1, 0]), Matrix(2, 2, [3, 0, 0, Fraction(1, 2)])
     product = layer_product(f, (1, 1), state, (1, 1))
-    # a right factor read once gets no memo of either kind, padded or not
-    assert layer_product(f, (2, 1), state, (2, 1)) == (4, 4, {1: Fraction(1, 2), 4: 3,
-                                                            11: Fraction(1, 2), 14: 3})
-    assert state._nonzeros is None and state._columns is None
-    state.nonzeros()
-    assert layer_product(f, (1, 1), state, (1, 1)) == product == (2, 2, {1: Fraction(1, 2), 2: 3})
+    # a right factor gets no column table, padded or not, and no product is laid out
+    padded = layer_product(f, (2, 1), state, (2, 1))
+    assert padded == Matrix._raw(4, 4, {1: Fraction(1, 2), 4: 3, 11: Fraction(1, 2), 14: 3})
+    assert product == Matrix._raw(2, 2, {1: Fraction(1, 2), 2: 3})
+    assert product._entries is None and padded._entries is None
     assert state._columns is None  # only a left factor keeps its column table
     assert f._column_table() == (((1, 1),), ((0, 1),))
 
@@ -300,31 +298,31 @@ def test_one_left_factor_serves_every_pad_and_stride(case):
     # in one call's stride or pad would break the later products
     f, uses = case
     for f_pad, g, g_pad in uses:
-        product = layer_product(f, f_pad, g, g_pad)
-        assert to_matrix(product) == padded_product(f, f_pad, g, g_pad)
+        assert layer_product(f, f_pad, g, g_pad) == padded_product(f, f_pad, g, g_pad)
     assert f._columns is not None
 
 
 @given(layer_pairs())
 @settings(max_examples=40, deadline=None)
 def test_layer_product_reads_a_state_as_its_matrix(case):
+    # a matrix given only by its nonzeros, in reverse order, is read as the
+    # matrix its entries give, and is not laid out
     f, f_pad, g, g_pad = case
-    state = (g.rows, g.cols, {k: x for k, x in enumerate(g.entries) if x})
+    state = Matrix._raw(g.rows, g.cols, dict(reversed(g.nonzeros.items())))
     product = layer_product(f, f_pad, state, g_pad)
-    assert product == layer_product(f, f_pad, g, g_pad)
-    assert to_matrix(product) == compose_layers(f, f_pad, g, g_pad)
-    assert g._nonzeros is None and g._columns is None
+    assert product == layer_product(f, f_pad, g, g_pad) == padded_product(f, f_pad, g, g_pad)
+    assert state._entries is None and state._columns is None
 
 
 def test_layer_product_takes_a_state_past_the_cell_budget():
     # the 4096 x 4096 identity has 4096 nonzeros; only its dense layout is refused
     n = 4096
-    eye = (n, n, {k * (n + 1): 1 for k in range(n)})
-    assert layer_product(Matrix(1, 1, [2]), (n, 1), eye, (1, 1)) == (
+    eye = Matrix._raw(n, n, {k * (n + 1): 1 for k in range(n)})
+    assert layer_product(Matrix(1, 1, [2]), (n, 1), eye, (1, 1)) == Matrix._raw(
         n, n, {k * (n + 1): 2 for k in range(n)}
     )
     with pytest.raises(BudgetError, match=f"^a {n}x{n} matrix has"):
-        to_matrix(eye)
+        eye.entries
 
 
 def test_apply_steps_runs_each_step_as_its_padded_layer():
@@ -336,29 +334,27 @@ def test_apply_steps_runs_each_step_as_its_padded_layer():
     g = Matrix(3, 2, [rng.choice(values) for _ in range(6)])
     m = Matrix(12, 2, [rng.choice(values) for _ in range(24)])
     steps = [(f, 2, 2), (g, 1, 4), (f, 4, 1), (g, 2, 2)]
-    state = apply_steps((m.rows, m.cols, dict(m.nonzeros())), steps)
+    state = apply_steps(m, steps)
     for h, left, right in steps:
         m = padded_product(h, (left, right), m, (1, 1))
-    assert to_matrix(state) == m
+    assert state == m
     with pytest.raises(ShapeError, match=r"^cannot apply 1\|2x3\|1 to 12 rows$"):
-        apply_steps((12, 2, {}), [(f, 1, 1)])
+        apply_steps(Matrix._raw(12, 2, {}), [(f, 1, 1)])
 
 
-def test_compose_layers_rejects_mismatched_layers():
+def test_layer_product_rejects_mismatched_layers():
     with pytest.raises(ShapeError, match=r"1\|2x4\|1 with 3\|2x2\|1"):
-        compose_layers(Matrix(2, 4, [0] * 8), (1, 1), identity(2), (3, 1))
+        layer_product(Matrix(2, 4, [0] * 8), (1, 1), identity(2), (3, 1))
 
 
 def test_negative_pads_are_refused_and_zero_pads_are_not():
     m = Matrix(2, 2, [1, 2, 3, 4])
     for f_pad, g_pad in (((-1, 1), (-1, 1)), ((1, -1), (1, 1)), ((1, 1), (1, -2)),
                          ((0, 1), (-1, 0))):
-        for product in (compose_layers, layer_product):
-            with pytest.raises(ShapeError, match=r"^negative pad: cannot compose"):
-                product(m, f_pad, m, g_pad)
+        with pytest.raises(ShapeError, match=r"^negative pad: cannot compose"):
+            layer_product(m, f_pad, m, g_pad)
     # a pad of 0 is an empty layer: kron of a matrix with no rows needs one
-    assert layer_product(m, (0, 1), m, (1, 0)) == (0, 0, {})
-    assert compose_layers(m, (0, 1), m, (1, 0)) == Matrix(0, 0, [])
+    assert layer_product(m, (0, 1), m, (1, 0)) == Matrix(0, 0, [])
     assert kron(Matrix(0, 3, []), m) == Matrix(0, 6, [])
     assert kron(m, Matrix(2, 0, [])) == Matrix(4, 0, [])
 
@@ -367,22 +363,23 @@ def test_layer_product_drops_sums_that_cancel():
     # (1, -1) . (1, 1)^T and (1/2, -1/2) . (1, 1)^T are both zero
     ones = Matrix(2, 1, [1, 1])
     for row in (Matrix(1, 2, [1, -1]), Matrix(1, 2, [Fraction(1, 2), Fraction(-1, 2)])):
-        assert layer_product(row, (1, 1), ones, (1, 1)) == (1, 1, {})
-        assert layer_product(row, (1, 2), ones, (1, 2)) == (2, 2, {})
+        assert layer_product(row, (1, 1), ones, (1, 1)).nonzeros == {}
+        assert layer_product(row, (1, 2), ones, (1, 2)) == Matrix(2, 2, [0] * 4)
     f, g = Matrix(2, 2, [1, 1, 0, 2]), Matrix(2, 1, [1, -1])
-    assert layer_product(f, (1, 1), g, (1, 1)) == (2, 1, {1: -2})
+    assert layer_product(f, (1, 1), g, (1, 1)).nonzeros == {1: -2}
     # some sums cancel, others do not: only the cancelled ones go, with int
-    # and Fraction entries, unpadded, padded, and on a state
+    # and Fraction entries, unpadded, padded, and with g's nonzeros in either order
     half = Fraction(1, 2)
     for f, kept in (
         (Matrix(3, 2, [1, -1, 2, 1, 0, 3]), {1: 3, 2: 3}),
         (Matrix(3, 2, [half, -half, half, Fraction(1, 3), 2, -2]), {1: Fraction(5, 6)}),
         (Matrix(3, 2, [half, -half, 1, -half, -2, 2]), {1: half}),
     ):
-        for g in (ones, (2, 1, {0: 1, 1: 1})):
+        for g in (ones, Matrix._raw(2, 1, {1: 1, 0: 1})):
             product = layer_product(f, (1, 1), g, (1, 1))
-            assert product == (3, 1, kept) and 0 not in product[2].values()
-            assert layer_product(f, (2, 1), g, (2, 1)) == (6, 2, {
+            assert (product.rows, product.cols, product.nonzeros) == (3, 1, kept)
+            assert 0 not in product.nonzeros.values()
+            assert layer_product(f, (2, 1), g, (2, 1)) == Matrix._raw(6, 2, {
                 **{k * 2: x for k, x in kept.items()},
                 **{(k + 3) * 2 + 1: x for k, x in kept.items()},
             })
@@ -393,11 +390,13 @@ def test_layer_product_drops_sums_that_cancel():
 @example(Matrix(1, 3, [0, 0, 0]))
 @settings(max_examples=40, deadline=None)
 def test_nonzeros_lists_the_nonzero_entries_and_leaves_equality_alone(m):
-    twin = Matrix(m.rows, m.cols, m.entries)
-    assert m.nonzeros() == tuple((k, x) for k, x in enumerate(m.entries) if x)
-    assert m.nonzeros() is m.nonzeros()  # remembered
-    assert m == twin and hash(m) == hash(twin)  # one has its nonzeros memo, one not
-    assert {m, twin} == {twin}
+    # the twin holds the same nonzeros in reverse order and has no entries memo
+    twin = Matrix._raw(m.rows, m.cols, dict(reversed(m.nonzeros.items())))
+    assert m.nonzeros == {k: x for k, x in enumerate(m.entries) if x}
+    assert 0 not in m.nonzeros.values()
+    assert m == twin and hash(m) == hash(twin) and {m, twin} == {twin}
+    assert twin._entries is None and twin.entries == m.entries
+    assert twin.entries is twin.entries  # remembered
 
 
 def test_a_column_memo_leaves_equality_hash_repr_copies_and_pickles_alone():
@@ -405,13 +404,39 @@ def test_a_column_memo_leaves_equality_hash_repr_copies_and_pickles_alone():
     m, twin = Matrix(2, 3, entries), Matrix(2, 3, entries)
     layer_product(m, (1, 1), identity(3), (1, 1))
     assert m._columns == (((1, 3),), ((0, Fraction(1, 2)),), ((1, -1),))
-    assert twin._columns is None and twin._nonzeros is None
+    assert twin._columns is None
     assert m == twin and hash(m) == hash(twin) and {m, twin} == {twin}
     assert repr(m) == repr(twin) == "Matrix(2x3 [[0, 1/2, 0], [3, 0, -1]])"
     assert pickle.dumps(m) == pickle.dumps(twin)  # memos are not pickled
     for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert copied == m and copied._nonzeros is None and copied._columns is None
+        assert copied == m and copied._entries is None and copied._columns is None
         assert copied._column_table() == m._column_table()
+
+
+def test_a_matrix_is_its_nonzeros():
+    # an integral Fraction among the nonzeros equals, hashes and lays out as its int
+    two = Matrix._raw(1, 1, {0: Fraction(2, 1)})
+    assert Matrix(1, 1, [2]) == two and hash(Matrix(1, 1, [2])) == hash(two)
+    assert two.entries == (2,) and type(two[0, 0]) is int and repr(two) == "Matrix(1x1 [[2]])"
+    assert Matrix(1, 2, [0, 0]) != Matrix(2, 1, [0, 0]) and Matrix(2, 1, [0, 0]).nonzeros == {}
+
+
+def test_a_product_past_the_budget_copies_and_pickles_without_its_entries():
+    # 4096 x 4096 with 4096 nonzeros: only laying out its entries is refused
+    n = 4096
+    eye = Matrix._raw(n, n, {k * (n + 1): 1 for k in range(n)})
+    product = layer_product(Matrix(1, 1, [Fraction(1, 2)]), (n, 1), eye, (1, 1))
+    data = pickle.dumps(product)
+    assert len(data) < 2**16  # the nonzeros, not 16,777,216 cells
+    for copied in (copy.copy(product), copy.deepcopy(product), pickle.loads(data)):
+        assert copied == product and hash(copied) == hash(product)
+        assert copied._entries is None
+    line = "a 4096x4096 matrix has 16777216 cells, over the budget of 8388608"
+    for read in (lambda: product.entries, lambda: product.row(0), lambda: product[0, 0]):
+        with pytest.raises(BudgetError) as refused:
+            read()
+        assert str(refused.value) == line
+    assert product._entries is None and repr(product) == "Matrix(4096x4096)"
 
 
 def test_layer_product_keeps_one_dict_of_the_product():
@@ -420,14 +445,14 @@ def test_layer_product_keeps_one_dict_of_the_product():
     # filtered copy of the dict held next to it peaks at about 8.3 MiB.
     comult = tensor(group_algebra_z2(), group_algebra_z2()).comult
     size = 4**7
-    state = (size, size, {k * (size + 1): 1 for k in range(size)})
+    state = Matrix._raw(size, size, {k * (size + 1): 1 for k in range(size)})
     tracemalloc.start()
     try:
-        rows, cols, product = layer_product(comult, (1, 4**6), state, (1, 1))
+        product = layer_product(comult, (1, 4**6), state, (1, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (rows, cols, len(product)) == (4 * size, size, 65536)
+    assert (product.rows, product.cols, len(product.nonzeros)) == (4 * size, size, 65536)
     assert peak < 6 * 2**20
 
 
@@ -467,6 +492,12 @@ def dense(side):
     return Matrix(rows, cols, [nonzeros.get(k, 0) for k in range(rows * cols)])
 
 
+def sparse(side):
+    """The ``Matrix`` of a side, its nonzeros kept in the side's order."""
+    rows, cols, nonzeros = side
+    return Matrix._raw(rows, cols, {k: x for k, x in nonzeros.items() if x})
+
+
 @given(side_pairs())
 @example(((1, 2, {0: 1 + -1, 1: 2}), (1, 2, {1: 2})))
 @example(((2, 1, {1: Fraction(1, 2) + Fraction(-1, 2)}), (2, 1, {0: 0})))
@@ -483,10 +514,10 @@ def test_compare_nonzeros_equals_compare_on_dense_forms(pair):
         expect = compare("side", dense(lhs), dense(rhs))
     except ShapeError as err:
         with pytest.raises(ShapeError) as got:
-            compare_nonzeros("side", lhs, rhs)
+            compare_nonzeros("side", sparse(lhs), sparse(rhs))
         assert str(got.value) == str(err)
         return
-    result = compare_nonzeros("side", lhs, rhs)
+    result = compare_nonzeros("side", sparse(lhs), sparse(rhs))
     assert result == expect  # pass flag and witness row, column, lhs and rhs
     assert repr(result) == repr(expect)  # and the witness entries' types
     assert result.line() == expect.line()
@@ -499,7 +530,6 @@ def test_oversized_results_are_refused_before_allocation():
         ("4096x4096", lambda: identity(4096)),
         ("4096x2049", lambda: compose(column, row)),
         ("4096x2049", lambda: kron(column, row)),
-        ("4096x2049", lambda: compose_layers(column, (1, 1), row, (1, 1))),
         ("8392704x8392704", lambda: braiding(4096, 2049)),
         ("8392704x8392704", lambda: interleaver(1, 4096, 2049)),
     ]
@@ -617,10 +647,10 @@ def test_products_store_an_integral_fraction_as_an_int():
     assert moved.entries == (1, Fraction(5, 2), Fraction(5, 2), 10, 0, 0, 0, Fraction(-3, 2))
     back = compose(b, moved, kron(inverse(b), inverse(b)))
     assert back == mult
-    state = (1, 3, {0: Fraction(4, 2), 2: half})
-    for m in (moved, back, kron(b, inverse(b)), compose(b, inverse(b)), to_matrix(state)):
+    state = Matrix._raw(1, 3, {0: Fraction(4, 2), 2: half})
+    for m in (moved, back, kron(b, inverse(b)), compose(b, inverse(b)), state):
         assert stored_as_ints(m), m
-    assert to_matrix(state).entries == (2, 0, half)
+    assert state.entries == (2, 0, half)
 
 
 def test_compose_and_kron_match_the_oracles_on_a_seeded_sweep():

@@ -15,8 +15,10 @@ from frob2d.cobordism import (
     WordError,
     closed_oriented_surface,
     closed_unoriented_surface,
+    compose_words,
     identity_word,
     parse_word,
+    tensor_words,
     validate_word,
 )
 from frob2d.examples import (
@@ -531,8 +533,8 @@ def test_naturality_in_a_dense_fraction_basis_matches_dense_reference():
 
 
 def test_squares_and_checks_lay_out_no_dense_side(monkeypatch):
-    # every side is a state: with linalg.dense refused, in linalg and where
-    # tqft binds it, the reports come out as they do without the patch
+    # no side is laid out: with Matrix.entries (and so row and [i, j])
+    # refused, the reports come out as they do without the patch
     z2, kxk, k, dn = group_algebra_z2(), split_pair(), ground_field(), dual_numbers()
     z2e, kxke, ke = group_algebra_z2_extended(), split_pair_extended(), ground_field_extended()
     product = tensor(z2, kxk)
@@ -560,20 +562,20 @@ def test_squares_and_checks_lay_out_no_dense_side(monkeypatch):
     calls += [lambda a=a: check_extended(a)
               for a in (z2e, kxke.replace(point=Matrix(2, 1, [1, 2])))]
     calls += [lambda: check_multiplicativity(closed_oriented_surface(2), z2, kxk)]
+    calls += [lambda w=w: check_monoidal_naturality(w, z2, kxk) for w in open_words]
+    broken = product.replace(comult=bumped(product.comult, rng))
+    calls += [lambda a=a: check_frobenius(a) for a in (z2, product, broken)]
     expect = [call() for call in calls]
     assert {report.passed for report in expect} == {True, False}
     expect = list(map(repr, expect))  # witness types included
 
-    def refuse(state):
+    def refuse(m):
         raise AssertionError("a side was laid out densely")
 
-    monkeypatch.setattr(linalg, "dense", refuse)
-    monkeypatch.setattr(tqft, "dense", refuse)
+    monkeypatch.setattr(Matrix, "entries", property(refuse))
     monkeypatch.setattr(tqft, "_tensor_algebras", lambda a, b: product)
     with pytest.raises(AssertionError, match="densely"):
-        evaluate(open_words[0], z2)
-    with pytest.raises(AssertionError, match="densely"):
-        linalg.compose(z2.mult, z2.comult)
+        evaluate(open_words[0], z2).row(0)
     assert [repr(call()) for call in calls] == expect
 
 
@@ -693,11 +695,13 @@ def test_a_step_is_refused_only_when_its_shape_and_nonzero_bound_pass_the_budget
     comult = tensor(group_algebra_z2(), group_algebra_z2()).comult
     big = 2**24
     step = [(comult, 2**10, 2**10)]  # 2**22 rows to 2**24
-    assert linalg.apply_steps((2**22, big, Counted(2**21)), step) == (big, big, {})
+    assert linalg.apply_steps(Matrix._raw(2**22, big, Counted(2**21)), step).nonzeros == {}
     small = [(comult, 2**4, 2**3)]  # 2**9 rows to 2**11
-    assert linalg.apply_steps((2**9, 2**12, Counted(2**30)), small) == (2**11, 2**12, {})
+    assert linalg.apply_steps(Matrix._raw(2**9, 2**12, Counted(2**30)), small) == Matrix._raw(
+        2**11, 2**12, {}
+    )
     with pytest.raises(BudgetError, match=f"^a {big}x{big} matrix has"):
-        linalg.apply_steps((2**22, big, Counted(2**21 + 1)), step)
+        linalg.apply_steps(Matrix._raw(2**22, big, Counted(2**21 + 1)), step)
 
 
 def test_monoidal_naturality_witness_matches_the_dense_route(monkeypatch):
@@ -923,7 +927,8 @@ def test_each_word_function_validates_its_word_once(monkeypatch):
 
 
 def test_the_plan_route_matches_the_oracle_on_a_seeded_sweep():
-    # the state the plan leaves holds the word's nonzeros and no integral Fraction
+    # the matrix the plan leaves holds the word's nonzeros; its entries hold no
+    # integral Fraction
     rng = random.Random(81)
     z2, kxk, kxke = group_algebra_z2(), split_pair(), split_pair_extended()
     moved, _ = in_fraction_basis(kxke, rng)
@@ -938,14 +943,50 @@ def test_the_plan_route_matches_the_oracle_on_a_seeded_sweep():
     for algebra, tables, words in sweeps:
         for w in words:
             labels = [[g.label for g in s] for s in w.slices]
-            rows, cols, nonzeros = tqft._run(tqft._compile(w), algebra)
+            m = tqft._run(tqft._compile(w), algebra)
             expect = oracles.word_matrix(labels, tables, w.source_arity)
-            assert (rows, cols) == (len(expect), len(expect[0])), labels
-            assert nonzeros == {i * cols + j: x for i, row in enumerate(expect)
-                                for j, x in enumerate(row) if x}, labels
-            assert all(type(x) is int or x.denominator > 1 for x in nonzeros.values())
-            fractions.update(type(x) for x in nonzeros.values())
+            assert (m.rows, m.cols) == (len(expect), len(expect[0])), labels
+            assert m.nonzeros == {i * m.cols + j: x for i, row in enumerate(expect)
+                                  for j, x in enumerate(row) if x}, labels
+            assert all(type(x) is int or x.denominator > 1 for x in m.entries)
+            fractions.update(map(type, m.entries))
     assert fractions == {int, Fraction}
+
+
+def capped(w):
+    """``w`` with a birth on each source circle and a death on each target circle."""
+    cups = ((CUP,) * w.source_arity,) if w.source_arity else ()
+    caps = ((CAP,) * w.target_arity,) if w.target_arity else ()
+    return CobordismWord(w.orientation, cups + w.slices + caps)
+
+
+def test_evaluate_is_a_monoidal_functor_on_seeded_random_words():
+    # the laws hold for any structure matrices, so bumped algebras and a
+    # Fraction basis are cases too; a tensor of words on 4 dimensions gets at
+    # most 4 strands, so its 256 x 256 Kronecker product fits the budget
+    rng = random.Random(99)
+    z2, kxk = group_algebra_z2(), split_pair()
+    z2e, kxke = group_algebra_z2_extended(), split_pair_extended()
+    oriented = [tensor(z2, kxk), in_fraction_basis(dual_numbers(), rng)[0],
+                *(a.replace(**{name: bumped(getattr(a, name), rng)})
+                  for a in plain_battery() for name in ("mult", "comult"))]
+    unoriented = [tensor_extended(z2e, kxke), in_fraction_basis(kxke, rng)[0],
+                  *(a.replace(**{name: bumped(getattr(a, name), rng)})
+                    for a in extended_battery() for name in ("involution", "point"))]
+    for algebras, flag, seed in ((oriented, False, 100), (unoriented, True, 101)):
+        for algebra in algebras:
+            dim = getattr(algebra, "base", algebra).dim
+            words = random_words(60, seed, max_strands=2 if dim > 2 else 3, unoriented=flag)
+            for w in words[:20]:
+                u = rng.choice([x for x in words if x.target_arity == w.source_arity])
+                v = rng.choice(words)
+                assert evaluate(compose_words(u, w), algebra) == compose(
+                    evaluate(w, algebra), evaluate(u, algebra))
+                assert evaluate(tensor_words(w, v), algebra) == kron(
+                    evaluate(w, algebra), evaluate(v, algebra))
+                closed_w, closed_v = capped(w), capped(v)
+                assert invariant(tensor_words(closed_w, closed_v), algebra) == invariant(
+                    closed_w, algebra) * invariant(closed_v, algebra)
 
 
 def dense_comult_algebra():
