@@ -12,11 +12,13 @@ package:
 
   so the basis vector ``e_i (x) e_j`` of a tensor-product space sits at
   flat index ``i * dim_right + j``.
-* A ``Matrix`` holds its nonzeros, ``{flat index: entry}``, and nothing
-  else: tensor powers are almost all zeros.  Its row-major ``entries``
-  tuple is laid out only when read.  ``layer_product(f, f_pad, g, g_pad)``
-  multiplies two padded layers ``kron(identity(l), f, identity(r))`` from
-  the nonzeros of ``f`` and ``g`` alone, so no padded layer is built.
+* A ``Matrix`` holds its nonzeros, a read-only mapping ``{flat index:
+  entry}``, and nothing else: tensor powers are almost all zeros.  Its
+  row-major ``entries`` tuple is laid out only when read.  A table of
+  plain ints is stored with no per-cell coercion.
+  ``layer_product(f, f_pad, g, g_pad)`` multiplies two padded layers
+  ``kron(identity(l), f, identity(r))`` from the nonzeros of ``f`` and
+  ``g`` alone, so no padded layer is built.
   ``apply_steps(state, steps)`` applies ``kron(I_l, f, I_r)`` to a matrix
   for each step ``(f, l, r)`` in turn: the one loop for a word's steps
   (``tqft``) and a naturality square's strands (``frobenius``).  Every
@@ -41,6 +43,9 @@ package:
 * ``braiding(a, b)`` swaps tensor factors and ``interleaver(n, a, b)``
   regroups ``A^(x)n (x) B^(x)n`` as ``(A (x) B)^(x)n``; both are
   permutation matrices.
+* ``inverse`` eliminates over the nonzeros of dict rows, so inverting a
+  sparse Gram matrix (``frobenius.derive_comult``) costs about as much as
+  the products it feeds, not a pass over every cell per pivot.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
 
@@ -167,11 +173,13 @@ class Record:
 class Matrix:
     """Immutable matrix of exact rationals, stored as its nonzeros ``{flat index: entry}``.
 
-    ``nonzeros`` holds no zero entry and is never changed: matrices may
-    share it (``_raw``, copies, a reshape).  ``entries`` (and ``row`` and
-    ``[i, j]``, which read it) is the row-major tuple of every cell, laid
-    out on first use, refused over ``MAX_CELLS`` (BudgetError), with an
-    integral ``Fraction`` as an int.
+    ``nonzeros`` is a read-only view (``types.MappingProxyType``) that
+    holds no zero entry; matrices may share it (``_raw``, a reshape), and a
+    copy or pickle holds a dict of its own.  Cells that are all plain ints
+    are stored as given; otherwise each goes through ``as_rational``.
+    ``entries`` (and ``row`` and ``[i, j]``, which read it) is the
+    row-major tuple of every cell, laid out on first use, refused over
+    ``MAX_CELLS`` (BudgetError), with an integral ``Fraction`` as an int.
     """
 
     # _entries and _columns are memos, filled on first use and left out
@@ -181,24 +189,28 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
-        cells = tuple(as_rational(x) for x in entries)
+        cells = tuple(entries)
+        if not {int}.issuperset(map(type, cells)):  # a bool, an int subclass or a non-int
+            cells = tuple(map(as_rational, cells))
         if len(cells) != rows * cols:
             raise ShapeError(
                 f"a {rows}x{cols} matrix needs {rows * cols} entries, got {len(cells)}"
             )
         self.rows = rows
         self.cols = cols
-        self.nonzeros = {k: x for k, x in enumerate(cells) if x}
+        self.nonzeros = MappingProxyType({k: x for k, x in enumerate(cells) if x})
         self._entries = cells
         self._columns = None
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, nonzeros: dict) -> "Matrix":
-        # Internal fast path: nonzeros holds exact rationals and no zero.
+    def _raw(cls, rows: int, cols: int, nonzeros: Mapping) -> "Matrix":
+        # Internal fast path: nonzeros holds exact rationals and no zero, and
+        # is another matrix's read-only nonzeros or a dict no one changes later.
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.nonzeros = nonzeros
+        m.nonzeros = (nonzeros if type(nonzeros) is MappingProxyType
+                      else MappingProxyType(nonzeros))
         m._entries = None
         m._columns = None
         return m
@@ -237,7 +249,7 @@ class Matrix:
         return self._columns
 
     def __reduce__(self):
-        return type(self)._raw, (self.rows, self.cols, self.nonzeros)
+        return type(self)._raw, (self.rows, self.cols, dict(self.nonzeros))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -425,29 +437,50 @@ def interleaver(n: int, a: int, b: int) -> Matrix:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse by Gauss-Jordan elimination over the nonzeros.
 
-    Raises SingularMatrixError when no inverse exists.
+    Each row of ``m`` and of the identity beside it is a dict ``{column:
+    entry}``.  Column by column, the first row not yet a pivot that holds
+    the column is the pivot: it is scaled to a leading 1, and every other
+    row holding the column subtracts its multiple of the pivot row, over
+    the pivot row's nonzeros only; entries that cancel are deleted.  So the
+    work follows the nonzeros, not the n**2 cells.  An integral entry of
+    the inverse is an int.  Raises SingularMatrixError when no inverse
+    exists.
     """
     if m.rows != m.cols:
         raise ShapeError(f"only square matrices invert, got {m.rows}x{m.cols}")
     n = m.rows
-    work = [[Fraction(x) for x in m.row(i)] for i in range(n)]
-    result = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    work = [{} for _ in range(n)]
+    for k, x in m.nonzeros.items():
+        i, j = divmod(k, n)
+        work[i][j] = x
+    result = [{i: 1} for i in range(n)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        pivot = next((r for r in range(col, n) if col in work[r]), None)
         if pivot is None:
             raise SingularMatrixError(f"singular {n}x{n} matrix")
         work[col], work[pivot] = work[pivot], work[col]
         result[col], result[pivot] = result[pivot], result[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        result[col] = [x / scale for x in result[col]]
-        for r in range(n):
-            if r == col or not work[r][col]:
+        # the pivot entry leaves its row: scaled, it would be 1, and the
+        # elimination below clears the column from every other row
+        row, result_row = work[col], result[col]
+        scale = row.pop(col)
+        if scale != 1:
+            scale = 1 / Fraction(scale)
+            for pivot_row in (row, result_row):
+                for j, x in pivot_row.items():
+                    pivot_row[j] = x * scale
+        for other, other_result in zip(work, result):
+            factor = other.pop(col, None)
+            if factor is None:
                 continue
-            factor = work[r][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            result[r] = [x - factor * y for x, y in zip(result[r], result[col])]
-    return Matrix(n, n, [x for row in result for x in row])
-
+            for target, source in ((other, row), (other_result, result_row)):
+                for j, y in source.items():
+                    x = target.get(j, 0) - factor * y
+                    if x:
+                        target[j] = x
+                    else:
+                        del target[j]
+    return Matrix._raw(n, n, {i * n + j: as_rational(x)
+                              for i, entries in enumerate(result) for j, x in entries.items()})

@@ -13,6 +13,7 @@ in the image of e_i), and optionally ``phi`` (n x n, input-major) and
 """
 
 import itertools
+from fractions import Fraction
 
 
 def dim(tables):
@@ -97,6 +98,30 @@ def kron(a, b, a_cols, b_cols):
     """The Kronecker product of nested-list matrices, ``a``'s index major."""
     return [[a[i1][j1] * b[i2][j2] for j1 in range(a_cols) for j2 in range(b_cols)]
             for i1 in range(len(a)) for i2 in range(len(b))]
+
+
+def inverse(a):
+    """The inverse of a square nested-list matrix, or None when it is singular.
+
+    Dense Gauss-Jordan on the matrix beside the identity, every cell a
+    ``Fraction``: each column pivots on the first row at or below it with a
+    nonzero entry, and every other row is cleared over all its cells.
+    """
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        scale = work[col][col]
+        work[col] = [x / scale for x in work[col]]
+        for r in range(n):
+            factor = work[r][col]
+            if r != col and factor:
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
 
 
 def first_difference(lhs, rhs):

@@ -552,6 +552,39 @@ def test_relation_words_give_each_frobenius_check(algebra):
     assert algebra.dim == 1 or failed == set(RELATIONS), failed  # every witness is compared
 
 
+# The unoriented relations (Turaev & Turner, AGT 2006), each against the
+# check_extended check it is: every check builds its two sides in the
+# words' orientation, so the whole result, witness included, must agree.
+UNORIENTED_RELATIONS = {
+    "involution": ("phi; phi", "id"),
+    "phi_mult": ("mult; phi", "phi, phi; mult"),
+    "crosscap": ("theta, theta; mult", "cup; comult; phi, id; mult"),
+    "phi_fixes_theta": ("theta; phi", "theta"),
+    "theta_multiplication_fixed": ("theta, id; mult; phi", "theta, id; mult"),
+}
+
+
+@pytest.mark.parametrize("algebra", EXTENDED, ids=lambda a: a.name)
+def test_unoriented_relation_words_give_their_extended_checks(algebra):
+    rng = random.Random("unoriented relations " + algebra.name)
+    base = algebra.base
+    cases = [algebra]
+    for _ in range(3):
+        cases += [algebra.replace(base=base.replace(mult=bump(base.mult, rng)))]
+        cases += [algebra.replace(**{name: bump(getattr(algebra, name), rng)})
+                  for name in ("involution", "point")]
+    words = {name: [parse_word("unoriented\n" + side.replace("; ", "\n")) for side in sides]
+             for name, sides in UNORIENTED_RELATIONS.items()}
+    failed = set()
+    for case in cases:
+        expect = check_extended(case)
+        got = AxiomReport(tuple(compare(name, *(evaluate(w, case) for w in sides))
+                                for name, sides in words.items()))
+        assert_same_report(got, AxiomReport(tuple(map(expect.check, words))))
+        failed.update(got.failing())
+    assert failed == set(UNORIENTED_RELATIONS), failed  # every witness is compared
+
+
 @pytest.mark.parametrize("algebra", EXTENDED, ids=lambda a: a.name)
 def test_extended_checks_match_dense_reference_under_bumps(algebra):
     rng = random.Random(algebra.name)

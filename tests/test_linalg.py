@@ -71,6 +71,54 @@ def test_as_rational_rejects_floats_and_bools():
         as_rational(True)
 
 
+class Tally(int):
+    """An int subclass: a ``Matrix`` stores it as it is."""
+
+
+def test_matrix_coerces_its_cells_through_as_rational_unless_all_are_ints():
+    # the first bad cell raises, with as_rational's text, before the count is checked
+    for cells, error, line in (
+        ([1, True, 2.5], TypeError, "booleans are not rational scalars"),
+        ([1, 2.5, True], TypeError, "expected an exact rational, got float: 2.5"),
+        ([False], TypeError, "booleans are not rational scalars"),
+        ([1, "x", True], ValueError, "not an integer or \"p/q\" string: 'x'"),
+    ):
+        with pytest.raises(error) as refused:
+            Matrix(2, 2, cells)
+        assert str(refused.value) == line
+    # strings parse, an integral Fraction becomes an int, an int subclass is kept
+    m = Matrix(1, 5, ["1/2", "-3", Fraction(4, 2), Tally(5), 0])
+    assert m.nonzeros == {0: Fraction(1, 2), 1: -3, 2: 2, 3: 5}
+    assert list(map(type, m.nonzeros.values())) == [Fraction, int, int, Tally]
+    assert list(map(type, Matrix(1, 3, [0, 1, -2]).entries)) == [int, int, int]
+    read = []
+
+    def cells():
+        for x in (1, 0, Fraction(1, 2), -4):
+            read.append(x)
+            yield x
+
+    assert Matrix(2, 2, cells()) == Matrix(2, 2, [1, 0, Fraction(1, 2), -4])
+    assert read == [1, 0, Fraction(1, 2), -4]
+
+
+def test_nonzeros_are_read_only_and_copies_and_pickles_hold_their_own():
+    m = Matrix(1, 2, [1, 2])
+    pickled = pickle.loads(pickle.dumps(m))
+    for matrix in (m, copy.copy(m), copy.deepcopy(m), pickled, Matrix._raw(1, 2, {0: 1, 1: 2})):
+        with pytest.raises(TypeError):
+            matrix.nonzeros[0] = 5
+        with pytest.raises(TypeError):
+            del matrix.nonzeros[1]
+        assert matrix == m and matrix.nonzeros == {0: 1, 1: 2}
+    # a copy is rebuilt from a dict of its own; a reshape shares the read-only view
+    rebuild, (rows, cols, nonzeros) = m.__reduce__()
+    nonzeros[0] = 5
+    assert rebuild(rows, cols, nonzeros).entries == (5, 2)
+    assert m.nonzeros == {0: 1, 1: 2} and m.entries == (1, 2) and pickled.entries == (1, 2)
+    assert Matrix._raw(2, 1, m.nonzeros).nonzeros is m.nonzeros
+
+
 def test_compose_frozen_example():
     f = Matrix(2, 2, [1, 2, 3, 4])
     g = Matrix(2, 2, [0, 1, 1, 0])
@@ -192,6 +240,51 @@ def test_inverse_frozen_example():
 def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
         inverse(Matrix(2, 2, [1, 2, 2, 4]))
+
+
+def test_inverse_matches_the_dense_oracle_on_a_seeded_sweep():
+    # n = 1 to 16 at every density; ints, negatives and Fractions; one row
+    # forced to be a combination of others; and Kronecker products of 2 x 2
+    # Grams, the matrices derive_comult inverts.  Equal inverses store equal
+    # entry types: an integral entry as an int.
+    rng = random.Random(22)
+    values = (1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3))
+    cases = [[]]
+    for _ in range(80):
+        n, zeros = rng.randint(1, 16), rng.random()
+        cases.append([[0 if rng.random() < zeros else rng.choice(values) for _ in range(n)]
+                      for _ in range(n)])
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        table = [[rng.choice((0,) + values) for _ in range(n)] for _ in range(n)]
+        k = rng.randrange(n)
+        others = rng.sample([r for r in range(n) if r != k], min(2, n - 1))
+        table[k] = [sum(rng.choice(values) * table[r][j] for r in others) for j in range(n)]
+        cases.append(table)
+    grams = [[[2, 0], [0, 2]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [1, 1]]]
+    for _ in range(60):
+        table = [[1]]
+        for _ in range(rng.randint(1, 4)):
+            a, b, c = (rng.choice((0, 0) + values) for _ in range(3))
+            gram = rng.choice(grams + [[[a, b], [b, c]]])
+            table = oracles.kron(table, gram, len(table), 2)
+        cases.append(table)
+    singular, types = 0, set()
+    for table in cases:
+        n = len(table)
+        expect = oracles.inverse(table)
+        if expect is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError) as refused:
+                inverse(flat(n, n, table))
+            assert str(refused.value) == f"singular {n}x{n} matrix"
+            continue
+        got, want = inverse(flat(n, n, table)), flat(n, n, expect)
+        assert got == want
+        assert ({k: type(x) for k, x in got.nonzeros.items()}
+                == {k: type(x) for k, x in want.nonzeros.items()})
+        types.update(map(type, got.nonzeros.values()))
+    assert 40 < singular < len(cases) - 40 and types == {int, Fraction}
 
 
 def test_matrix_requires_consistent_entry_count():

@@ -1,6 +1,7 @@
 """Source checks on the package, with the standard library's ast."""
 
 import ast
+import sys
 from pathlib import Path
 
 import frob2d
@@ -39,3 +40,37 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def outside_imports(source: str) -> list[str]:
+    """The modules a source imports that are neither relative, ``__future__`` nor stdlib.
+
+    Every import statement counts, at module level or inside a function.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name != "__future__"
+                  and name.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_outside_imports_finds_a_module_outside_the_standard_library():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\nfrom . import linalg\nfrom .report import Witness\n"
+        "from fractions import Fraction\n"
+        "def f():\n    import yaml.loader\n    from requests import get\n"
+    )
+    assert outside_imports(source) == ["numpy", "yaml.loader", "requests"]
+
+
+def test_the_package_imports_only_the_standard_library_and_itself():
+    found = {str(path.relative_to(PACKAGE)): outside_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: modules for name, modules in found.items() if modules} == {}
