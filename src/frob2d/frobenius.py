@@ -27,7 +27,6 @@ nonzeros: tensor products are almost all zeros.  ``tensor`` and
 
 from __future__ import annotations
 
-import itertools
 from typing import Union
 
 from .linalg import (
@@ -278,7 +277,8 @@ def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
     phi_mult, phi_counit, phi_comult (phi is a Frobenius endomorphism);
     theta_multiplication_fixed (multiples of the point are fixed by phi);
     crosscap (theta^2 equals mult . (phi (x) id) . comult . unit); and the
-    implied phi_fixes_theta, reported separately for diagnosis.
+    implied phi_fixes_theta, reported separately for diagnosis.  A plain
+    algebra raises TypeError.
 
     Like ``check_frobenius``, every side is built by ``layer_product``
     from the structure constants: multiplication by theta is
@@ -286,6 +286,8 @@ def check_extended(algebra: ExtendedFrobeniusAlgebra) -> AxiomReport:
     the right-hand side of crosscap applies phi to one leg of
     ``comult . unit``.
     """
+    if not isinstance(algebra, ExtendedFrobeniusAlgebra):
+        raise TypeError("extended checks need an extended algebra")
     base, phi, theta = algebra.base, algebra.involution, algebra.point
     times_theta = layer_product(base.mult, _NO_PAD, theta, (1, base.dim))
     theta_theta = layer_product(theta, (1, base.dim), theta, _NO_PAD)
@@ -386,24 +388,36 @@ def tensor_extended(
     )
 
 
-def search_theta(algebra: FrobeniusAlgebra, involution: Matrix, bound: int) -> list[Matrix]:
+def search_theta(algebra: AnyAlgebra, involution: Matrix, bound: int) -> list[Matrix]:
     """All integer points in [-bound, bound]^dim that extend the algebra.
 
     The result is the points ``p`` for which
-    ``check_extended(ExtendedFrobeniusAlgebra(algebra, involution, p))``
-    passes, in lexicographic order of their coordinate tuples.  The
-    involution's shape is checked once (ShapeError), and the involution and
-    phi_* checks, which do not involve the point, run once: if any fails
-    there are no hits.  The theta checks are then compiled once into
-    conditions on the coordinates: integer rows for phi_fixes_theta and
+    ``check_extended(ExtendedFrobeniusAlgebra(as_plain(algebra), involution, p))``
+    passes, in lexicographic order of their coordinate tuples; an extended
+    algebra is searched through its base.  The involution's shape is checked
+    once (ShapeError), and the involution and phi_* checks, which do not
+    involve the point, run once: if any fails there are no hits.  A grid of
+    more than ``MAX_CELLS`` points raises BudgetError before the first point
+    is tried, whatever the walk would visit.
+
+    The theta checks are then compiled once into conditions on the
+    coordinates: integer rows for phi_fixes_theta and
     theta_multiplication_fixed, which are linear in the point, and one
-    quadratic form per row of crosscap over the nonzeros of ``mult``.  Each
-    grid point is tested with plain int and Fraction arithmetic, the linear
-    rows first and stopping at the first that fails, and a ``Matrix`` is
-    built only for a hit.  The search is grid-relative: an empty result only
-    rules out integer points within the bound.  A grid of more than
-    ``MAX_CELLS`` points raises BudgetError before the first point is tried.
+    quadratic form per row of crosscap over the nonzeros of ``mult``.  The
+    search walks the coordinates depth first, ``p[0]`` outermost, trying
+    each coordinate's values in ascending order, so hits come in
+    lexicographic order.  Each condition is tested at the depth of the last
+    coordinate it reads, so a prefix that fails it is not extended.  There
+    the earlier coordinates are folded into it once per prefix, and each
+    value of ``p[k]`` costs a product or two in plain int and Fraction
+    arithmetic.  A linear row whose last coordinate is ``p[k]`` leaves
+    that coordinate one value, ``-(sum of c_j * p[j] for j < k) / c_k``,
+    which is the only one tried, and only if it is an integer within the
+    bound.  A ``Matrix`` is built only for a hit.  The search is
+    grid-relative: an empty result only rules out integer points within
+    the bound.
     """
+    algebra = as_plain(algebra)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     n = algebra.dim
@@ -414,10 +428,48 @@ def search_theta(algebra: FrobeniusAlgebra, involution: Matrix, bound: int) -> l
         raise BudgetError(f"a theta grid with bound {bound} on {n} coordinates "
                           f"has more than {MAX_CELLS} points")
     linear, quadratic = _theta_conditions(algebra, involution)
-    hits = []
-    for p in itertools.product(range(-bound, bound + 1), repeat=n):
-        if any(sum(c * p[k] for k, c in row) for row in linear):
-            continue
-        if all(sum(x * p[k] * p[j] for k, j, x in terms) == r for terms, r in quadratic):
-            hits.append(Matrix(n, 1, p))
+    # Each condition is due at the depth of the last coordinate it reads.  There
+    # it is split into the part that earlier coordinates fix and the
+    # coefficients of v = p[depth], so trying a value costs a few products.
+    due = [([], []) for _ in range(n)]
+    for *known, (depth, c) in linear:
+        due[depth][0].append((known, c))
+    for terms, r in quadratic:
+        depth = max((max(k, j) for k, j, _ in terms), default=0)
+        known, once, square = [], [], 0
+        for k, j, x in terms:
+            if k == j == depth:
+                square += x
+            elif depth in (k, j):
+                once.append((k + j - depth, x))
+            else:
+                known.append((k, j, x))
+        due[depth][1].append((known, once, square, r))
+    grid = range(-bound, bound + 1)
+    hits, p = [], [0] * n
+
+    def walk(depth: int) -> None:
+        rows, forms = due[depth]
+        # the rows as c * v + s == 0, the forms as v * (a * v + b) == t
+        lines = [(c, sum(x * p[k] for k, x in known)) for known, c in rows]
+        parabolas = [(a, sum(x * p[k] for k, x in once),
+                      r - sum(x * p[k] * p[j] for k, j, x in known))
+                     for known, once, a, r in forms]
+        values = grid
+        if lines:  # the first row due here fixes v
+            (c, s), *lines = lines
+            value, remainder = divmod(-s, c)
+            values = (value,) if not remainder and -bound <= value <= bound else ()
+        for c, s in lines:
+            values = [v for v in values if not c * v + s]
+        for a, b, t in parabolas:
+            values = [v for v in values if v * (a * v + b) == t]
+        for value in values:
+            p[depth] = value
+            if depth + 1 < n:
+                walk(depth + 1)
+            else:
+                hits.append(Matrix(n, 1, p))
+
+    walk(0)
     return hits

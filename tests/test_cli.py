@@ -271,6 +271,12 @@ def test_search_theta_goldens(capsys):
         assert (code, out, err) == (expected_code, expected_out, ""), args
 
 
+def test_search_theta_bound_1000(capsys):
+    # 2001**2 points, under the budget: crosscap prunes each coordinate as it is set
+    code, out, err = run(capsys, "search-theta", DATA["kxk.json"], "--bound", "1000")
+    assert (code, out, err) == (0, "-1 -1\n-1 1\n1 -1\n1 1\n", "")
+
+
 def test_search_theta_with_phi_file(capsys):
     code, out, _ = run(capsys, "search-theta", DATA["z2.json"], "--bound", "2",
                        "--phi", DATA["z2_negate_x.json"])

@@ -750,3 +750,87 @@ def test_search_theta_matches_brute_force_in_other_bases_and_under_bumps():
                 assert found == brute_force_theta(case, involution, bound)
                 hits += len(found)
     assert hits
+
+
+def split_triple():
+    """K x K x K on its idempotent basis, counit summing the coordinates."""
+    r = range(3)
+    return FrobeniusAlgebra.from_tables(
+        "KxKxK", ("e1", "e2", "e3"),
+        [[[int(i == j == k) for k in r] for j in r] for i in r], [1, 1, 1], [1, 1, 1],
+    )
+
+
+def test_search_theta_fixes_coordinates_by_linear_rows_as_brute_force_does():
+    # On K x K x K with e1 <-> e2 the points are (0, 0, +-1).  Written as
+    # theta = b q, phi_fixes_theta and theta_multiplication_fixed become rows
+    # in q whose last coefficient fixes a coordinate: q1 = q0 / 2 (an integer
+    # only for even q0), q1 = 2 q0 (out of range at bound 1), and a basis with
+    # a half in it, whose rows and structure constants hold Fractions.
+    algebra, swap = split_triple(), Matrix(3, 3, [0, 1, 0, 1, 0, 0, 0, 0, 1])
+    hits = 0
+    for b, points, bounds in (
+        ([1, -2, 0, 0, 1, -1, 1, 0, -1], [(-2, -1, -1), (2, 1, 1)], (3,)),
+        ([2, -1, 0, 0, 1, -1, -1, 1, 0], [(-1, -2, -2), (1, 2, 2)], (1,)),
+        ([Fraction(1, 2), -1, 0, 0, 1, -1, Fraction(1, 2), 0, 0], [(-2, -1, -1), (2, 1, 1)],
+         (1,)),
+    ):
+        b = Matrix(3, 3, b)
+        moved, phi = in_basis(algebra, b), compose(inverse(b), swap, b)
+        assert [tuple(p.entries) for p in search_theta(moved, phi, 2)] == points
+        for bound in bounds:
+            found = search_theta(moved, phi, bound)
+            assert found == brute_force_theta(moved, phi, bound)
+            hits += len(found)
+    # the last basis with a bumped counit, which moves crosscap's right side
+    # and keeps the Fraction rows; a bumped mult, unit or comult mostly fails
+    # phi's morphism checks, so it would search nothing
+    case = moved.replace(counit=bump(moved.counit, random.Random(23)))
+    found = search_theta(case, phi, 2)
+    assert found == brute_force_theta(case, phi, 2)
+    hits += len(found)
+    assert hits
+    # On D * Z2 with phi = id (x) (x -> -x) in this basis, the first row due
+    # at q3 fixes q3 = q1 - q2 without reading q0: only later rows due at q3
+    # rule out +-(1, 1, 0, 1).
+    b = Matrix(4, 4, [-1, 0, 0, 1, 0, -1, 0, 1, 0, 0, -1, -1, 0, 0, -1, 0])
+    moved = in_basis(tensor(dn, z2), b)
+    phi = compose(inverse(b), kron(identity(2), Matrix(2, 2, [1, 0, 0, -1])), b)
+    found = search_theta(moved, phi, 1)
+    assert found == brute_force_theta(moved, phi, 1) == [Matrix(4, 1, [0, 0, 0, 0])]
+
+
+def test_search_theta_z2_identity_tests_at_the_last_coordinate():
+    # With phi = id there are no linear rows, and both crosscap forms read p[1]:
+    # theta^2 = 2 / c for counit(1) = c, so p = (+-k, 0) and (0, +-k) for c = 2 / k^2
+    for c, points in ((1, []), (Fraction(2, 9), [(-3, 0), (0, -3), (0, 3), (3, 0)]),
+                      (Fraction(2, 25), [(-5, 0), (0, -5), (0, 5), (5, 0)])):
+        algebra = FrobeniusAlgebra.from_tables("Z2", z2.basis, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                                               [1, 0], [c, 0])
+        for bound in (3, 4, 5):
+            found = search_theta(algebra, identity(2), bound)
+            assert found == brute_force_theta(algebra, identity(2), bound)
+            assert [tuple(p.entries) for p in found] == [
+                p for p in points if max(map(abs, p)) <= bound]
+
+
+def test_search_theta_kxk_cubed_bound_2():
+    # 5**8 = 390,625 grid points; with phi = id there are no linear rows, so
+    # crosscap alone prunes each coordinate to a sign
+    found = search_theta(tensor_all([kxk, kxk, kxk]), identity(8), 2)
+    assert [tuple(p.entries) for p in found] == list(itertools.product((-1, 1), repeat=8))
+
+
+def test_search_theta_split_pair_bound_1000():
+    found = search_theta(split_pair(), identity(2), 1000)
+    assert [tuple(p.entries) for p in found] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+
+def test_search_theta_reads_an_extended_algebra_through_its_base():
+    assert search_theta(split_pair_extended(), identity(2), 1) == search_theta(
+        split_pair(), identity(2), 1)
+
+
+def test_check_extended_refuses_a_plain_algebra():
+    with pytest.raises(TypeError, match="^extended checks need an extended algebra$"):
+        check_extended(split_pair())
